@@ -18,43 +18,21 @@ readable ``{name, n, m, secs, bits_per_sec, peak_rss}`` records.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
 from repro import BudgetSpec, FrequencyEstimator, IDUE, IDUEPS, OptimizedUnaryEncoding
 from repro.datasets import kosarak_like, paper_default_spec, zipf_items
-from repro.kernels import (
-    BITEXACT,
-    FAST,
-    available_compute_backends,
-    compute_backend_names,
-)
+from repro.kernels import BITEXACT, FAST
 from repro.optim import solve
 from repro.pipeline import stream_counts
 from repro.simulation import simulate_counts_from_true
 
-# BENCH_SMOKE=1 shrinks the sampler workload to CI-smoke size: the run
-# validates that every backend executes and emits a well-formed record,
-# not that the numbers mean anything (see `make bench-smoke`).
-BENCH_SMOKE = os.environ.get("BENCH_SMOKE") == "1"
-
 # Same workload as bench_pipeline's PR 1 streamed-exact baseline, so the
 # bitexact/fast ratio reads directly as the kernel speedup.
-SAMPLER_N = 2_000 if BENCH_SMOKE else 40_000
-SAMPLER_M = 256 if BENCH_SMOKE else 2_000
-SAMPLER_CHUNK = 512 if BENCH_SMOKE else 2_048
-
-# PR 6's committed fast-path number on the reference box
-# (benchmarks/results/BENCH_throughput.json) — the bar the fastest
-# available backend must clear where the hardware can express it.
-PR6_FAST_BITS_PER_SEC = 1_651_707_916.0
-BACKEND_SPEEDUP_BAR = 1.5
-
-# bits/s per backend, filled by bench_sampler_fast_backend and read by
-# the bar assertion below (file-order execution).
-_BACKEND_RESULTS: dict[str, dict] = {}
+SAMPLER_N = 40_000
+SAMPLER_M = 2_000
+SAMPLER_CHUNK = 2_048
 
 
 @pytest.fixture(scope="module")
@@ -129,105 +107,6 @@ def bench_sampler_fast_packed_stream(
         record_result,
         record_json,
         rounds=repeat(3),
-    )
-
-
-@pytest.mark.parametrize("backend_name", sorted(compute_backend_names()))
-def bench_sampler_fast_backend(
-    benchmark, sampler_workload, record_result, record_json, repeat, backend_name
-):
-    """The fast packed path on each registered compute backend.
-
-    Backends whose optional dependency is absent skip cleanly; each run
-    records ``backend``, ``dtype`` and ``cpu_count`` alongside the
-    throughput so committed numbers are attributable to a machine shape.
-    Best-of-N: ``--repeat N`` widens the round count and the recorded
-    seconds are the minimum.
-    """
-    if backend_name not in available_compute_backends():
-        pytest.skip(f"compute backend {backend_name!r} is not available here")
-    mechanism, items = sampler_workload
-    sampler = FAST.with_compute(backend_name)
-    rounds = repeat(3)
-    result = benchmark.pedantic(
-        stream_counts,
-        args=(mechanism, items),
-        kwargs=dict(
-            chunk_size=SAMPLER_CHUNK,
-            rng=sampler.make_generator(1),
-            packed=True,
-            sampler=sampler,
-        ),
-        rounds=rounds,
-        warmup_rounds=1,
-    )
-    secs = benchmark.stats["min"]
-    bits = SAMPLER_N * SAMPLER_M
-    name = f"throughput_sampler_fast_{backend_name}"
-    _BACKEND_RESULTS[backend_name] = {"secs": secs, "bits_per_sec": bits / secs}
-    record_json(
-        name,
-        n=SAMPLER_N,
-        m=SAMPLER_M,
-        secs=secs,
-        bits_per_sec=bits / secs,
-        sampler=sampler.exactness,
-        packed=True,
-        backend=backend_name,
-        dtype=sampler.dtype,
-        repeat=rounds,
-        smoke=BENCH_SMOKE,
-    )
-    record_result(
-        name,
-        f"{name}: n={SAMPLER_N}, m={SAMPLER_M}, chunk={SAMPLER_CHUNK}, "
-        f"backend={backend_name}, repeat={rounds}\n"
-        f"best {secs:.3f}s -> {bits / secs / 1e6:,.0f} Mbit/s "
-        f"({SAMPLER_N / secs:,.0f} reports/s)",
-    )
-    assert result.n == SAMPLER_N
-
-
-def bench_sampler_fast_backend_bar(record_result, record_json):
-    """Hardware-gated speedup bar: fastest backend vs the PR 6 fast path.
-
-    The parallel backends need either >= 2 cores (threaded) or the numba
-    extra (JIT) to beat the single-core numpy kernel; on a box with
-    neither, the bar cannot physically be met and the assertion is
-    skipped — the honest per-backend numbers above are still recorded.
-    """
-    if not _BACKEND_RESULTS:
-        pytest.skip("no backend results collected in this session")
-    best_name = max(
-        _BACKEND_RESULTS, key=lambda name: _BACKEND_RESULTS[name]["bits_per_sec"]
-    )
-    best = _BACKEND_RESULTS[best_name]
-    speedup = best["bits_per_sec"] / PR6_FAST_BITS_PER_SEC
-    cores = os.cpu_count() or 1
-    parallel_capable = cores >= 2 or "numba" in available_compute_backends()
-    record_json(
-        "throughput_sampler_fast_best_backend",
-        n=SAMPLER_N,
-        m=SAMPLER_M,
-        secs=best["secs"],
-        bits_per_sec=best["bits_per_sec"],
-        backend=best_name,
-        speedup_vs_pr6=speedup,
-        parallel_capable=parallel_capable,
-        smoke=BENCH_SMOKE,
-    )
-    record_result(
-        "throughput_sampler_fast_best_backend",
-        f"best backend {best_name}: "
-        f"{best['bits_per_sec'] / 1e6:,.0f} Mbit/s = {speedup:.2f}x PR 6 "
-        f"fast path (cores={cores}, parallel_capable={parallel_capable})",
-    )
-    if BENCH_SMOKE or not parallel_capable:
-        return  # recorded honestly; the bar needs parallel hardware
-    assert speedup >= BACKEND_SPEEDUP_BAR, (
-        f"fastest backend {best_name} reached only {speedup:.2f}x the PR 6 "
-        f"fast path; the backend registry must buy >= "
-        f"{BACKEND_SPEEDUP_BAR}x on parallel-capable hardware"
     )
 
 

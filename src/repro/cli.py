@@ -11,7 +11,6 @@ Usage::
     python -m repro.cli fig5b [--quick]      # MSNBC
     python -m repro.cli pipeline [--n N] [--m M] [--shards K] [--chunk-size C]
                                  [--sampler fast|bitexact] [--topk K]
-                                 [--compute numpy|numba|threaded]
                                  [--spill-dir DIR] [--collect] [--auth-key KEY]
                                  [--producer-key KEY]
     python -m repro.cli serve --m M --auth-key KEY --spill-dir DIR
@@ -43,20 +42,19 @@ heavy-hitter identification on the streamed estimates.  ``--spill-dir``
 makes every shard spill its packed report chunks to a durable
 :class:`~repro.pipeline.ShardStore` and audits the round (out-of-core
 replay vs. snapshot digests); ``--collect`` round-trips the shard
-snapshots through an asyncio :class:`~repro.pipeline.Collector` over a
-localhost socket and verifies the merged state digest-for-digest (add
-``--auth-key`` to route the round-trip through the authenticated
-exactly-once :class:`~repro.pipeline.CollectionService` instead,
-including a blind-resend duplicate check; add ``--producer-key`` to
-give every synthetic producer its own derived key through a
-:class:`~repro.pipeline.KeyRegistry`).  ``serve`` runs the exactly-once
-collection service standalone: HMAC-authenticated producer sessions,
-fsync'd idempotency ledger, durable spill, and ``--resume`` crash
-recovery; ``--rounds-config`` hosts many concurrent rounds from a JSON
-spec (each round may carry a ``"limits"`` override object) and
-``--keys-file`` loads per-producer keys from a hot-reloadable keyfile
-(rotation without restart; a ``[revoked]`` section reaps producers
-mid-session).  The scale-out tier splits the deployment into three
+snapshots through the authenticated exactly-once
+:class:`~repro.pipeline.CollectionService` on a localhost socket,
+including a blind-resend duplicate check, and verifies the merged state
+digest-for-digest (under ``--auth-key``, or a fresh random key when
+none is given; add ``--producer-key`` to give every synthetic producer
+its own derived key through a :class:`~repro.pipeline.KeyRegistry`).
+``serve`` runs the exactly-once collection service standalone:
+HMAC-authenticated producer sessions, fsync'd idempotency ledger,
+durable spill, and ``--resume`` crash recovery; ``--rounds-config``
+hosts many concurrent rounds from a JSON spec (each round may carry a
+``"limits"`` override object) and ``--keys-file`` loads per-producer
+keys from a hot-reloadable keyfile (rotation without restart; a
+``[revoked]`` section reaps producers mid-session).  The scale-out tier splits the deployment into three
 roles: ``serve --shard`` runs one named shard of a fleet (bare when no
 rounds are given — rounds arrive over the authenticated control
 plane), ``coordinator`` owns round lifecycle across the fleet
@@ -88,7 +86,6 @@ from .experiments import (
     table1_leakage_bounds,
     table2_toy_example,
 )
-from .kernels import compute_backend_names
 
 __all__ = ["main"]
 
@@ -169,28 +166,41 @@ def _audit_spill(spill_dir: str, accumulator) -> None:
         raise SystemExit(f"spill audit FAILED for shards {bad}")
 
 
-def _collect_over_service(args, accumulator, frames) -> None:
-    """Round-trip frames through the authenticated exactly-once service.
+def _collect_over_service(args, accumulator) -> None:
+    """Round-trip shard snapshots through the exactly-once service.
 
-    Each frame plays one producer: an HMAC session, one record, one
-    durable ack.  Then every producer *blindly resends* — the
-    exactly-once check: all resends come back ``ACK_DUPLICATE`` and the
-    merged state stays digest-identical to the in-memory round.
+    With a spill dir the per-shard snapshot frames play the producers
+    (the real multi-producer shape); otherwise the merged snapshot
+    itself makes the trip.  Each frame plays one producer: an HMAC
+    session, one record, one durable ack.  Then every producer *blindly
+    resends* — the exactly-once check: all resends come back
+    ``ACK_DUPLICATE`` and the merged state stays digest-identical to
+    the in-memory round.
 
-    With ``--producer-key`` each synthetic producer authenticates with
-    its *own* key (derived from the master via
+    Producers share ``--auth-key``, or a fresh random key when none is
+    given.  With ``--producer-key`` each synthetic producer
+    authenticates with its *own* key (derived from the master via
     :func:`~repro.pipeline.service.derive_producer_key` and registered
-    in a :class:`~repro.pipeline.KeyRegistry`) instead of the shared
-    ``--auth-key`` — exercising the per-producer key path end to end.
+    in a :class:`~repro.pipeline.KeyRegistry`) instead — exercising the
+    per-producer key path end to end.
     """
     import asyncio
+    import secrets
     import shutil
     import tempfile
 
-    from .pipeline import CollectionService, KeyRegistry, send_records
+    from .pipeline import CollectionService, KeyRegistry, ShardStore, send_records
     from .pipeline.collect import wire
     from .pipeline.service import derive_producer_key
 
+    if args.spill_dir is not None:
+        store = ShardStore(args.spill_dir)
+        frames = [
+            wire.dumps(store.load_snapshot(shard_id))
+            for shard_id in store.shard_ids()
+        ]
+    else:
+        frames = [wire.dumps(accumulator)]
     store_root = tempfile.mkdtemp(prefix="repro_service_")
     producer_ids = [f"shard-{index}" for index in range(len(frames))]
     if args.producer_key is not None:
@@ -198,11 +208,16 @@ def _collect_over_service(args, accumulator, frames) -> None:
             producer: derive_producer_key(args.producer_key, producer)
             for producer in producer_ids
         }
-        registry = KeyRegistry(producer_keys)
-        service_auth = {"keys": registry}
+        service_auth = {"keys": KeyRegistry(producer_keys)}
+        key_mode = "per-producer keys"
     else:
-        producer_keys = {producer: args.auth_key for producer in producer_ids}
-        service_auth = {"key": args.auth_key}
+        shared = args.auth_key
+        key_mode = "a shared key"
+        if shared is None:
+            shared = secrets.token_hex(16)
+            key_mode = "a fresh random key"
+        producer_keys = {producer: shared for producer in producer_ids}
+        service_auth = {"key": shared}
 
     async def _round_trip() -> tuple[int, int]:
         service = CollectionService(
@@ -250,64 +265,10 @@ def _collect_over_service(args, accumulator, frames) -> None:
             f"service collection FAILED: expected {len(frames)} merged + "
             f"{len(frames)} duplicate acks, got {merged} + {duplicate}"
         )
-    key_mode = (
-        "per-producer keys" if args.producer_key is not None else "a shared key"
-    )
     print(
         f"service collect: {merged} record(s) merged exactly once over "
         f"authenticated sessions ({key_mode}), {duplicate} blind resend(s) "
         "deduplicated, merged state digest-identical to the in-memory round"
-    )
-
-
-def _collect_over_socket(args, accumulator) -> None:
-    """Round-trip shard snapshots through a localhost asyncio Collector.
-
-    With a spill dir the per-shard snapshot frames feed the collector
-    (the real multi-producer shape); otherwise the merged snapshot
-    itself makes the trip.  Either way the collector's state must come
-    back digest-identical to the in-memory accumulator.  With
-    ``--auth-key`` the trip instead goes through the exactly-once
-    :class:`~repro.pipeline.CollectionService`.
-    """
-    import asyncio
-
-    from .pipeline import Collector, ShardStore, send_frames
-    from .pipeline.collect import wire
-
-    if args.spill_dir is not None:
-        store = ShardStore(args.spill_dir)
-        frames = [
-            wire.dumps(store.load_snapshot(shard_id))
-            for shard_id in store.shard_ids()
-        ]
-    else:
-        frames = [wire.dumps(accumulator)]
-
-    if args.auth_key is not None or args.producer_key is not None:
-        _collect_over_service(args, accumulator, frames)
-        return
-
-    async def _round_trip() -> int:
-        collector = Collector(accumulator.m, round_id=accumulator.round_id)
-        host, port = await collector.serve()
-        try:
-            acked = 0
-            for frame in frames:  # one connection per producer
-                acked += await send_frames(host, port, [frame])
-        finally:
-            await collector.close()
-        if collector.accumulator.digest() != accumulator.digest():
-            raise SystemExit(
-                "socket collection FAILED: collector state does not match "
-                "the in-memory accumulator"
-            )
-        return acked
-
-    acked = asyncio.run(_round_trip())
-    print(
-        f"socket collect: {acked} snapshot frame(s) ingested over localhost, "
-        "merged state digest-identical to the in-memory round"
     )
 
 
@@ -332,21 +293,18 @@ def _run_pipeline(args) -> None:
         mechanism = SymmetricUnaryEncoding(args.epsilon, args.m)
     else:
         mechanism = OptimizedUnaryEncoding(args.epsilon, args.m)
-    # The compute backend rides inside the sampler config, so every
-    # worker (and its accumulator) picks it up by name after unpickling.
-    sampler = resolve_sampler(args.sampler).with_compute(args.compute)
     runner = ShardedRunner(
         mechanism,
         num_shards=args.shards,
         chunk_size=args.chunk_size,
         packed=args.packed,
-        sampler=sampler,
+        sampler=resolve_sampler(args.sampler),
     )
     print(
         f"pipeline: mechanism={mechanism.name}, n={args.n}, m={args.m}, "
         f"eps={args.epsilon}, shards={runner.num_shards}, "
         f"chunk_size={args.chunk_size}, packed={args.packed}, "
-        f"sampler={args.sampler}, compute={args.compute}"
+        f"sampler={args.sampler}"
     )
     start = time.perf_counter()
     accumulator = runner.run(items, seed=args.seed, spill_dir=args.spill_dir)
@@ -356,7 +314,7 @@ def _run_pipeline(args) -> None:
     if args.spill_dir is not None:
         _audit_spill(args.spill_dir, accumulator)
     if args.collect:
-        _collect_over_socket(args, accumulator)
+        _collect_over_service(args, accumulator)
 
     start = time.perf_counter()
     fast_counts = simulate_counts_from_true(
@@ -954,15 +912,6 @@ def main(argv: list[str] | None = None) -> int:
         "kernel (same distribution, 4-10x faster)",
     )
     parser.add_argument(
-        "--compute",
-        choices=list(compute_backend_names()),
-        default="numpy",
-        help="pipeline: compute backend for the packed kernels — 'numpy' "
-        "(portable baseline), 'numba' (JIT, needs the numba extra), or "
-        "'threaded' (tiled multi-core; pairs with --sampler fast). "
-        "Popcounts are bit-identical on every backend; see docs/kernels.md",
-    )
-    parser.add_argument(
         "--topk",
         type=int,
         default=None,
@@ -981,8 +930,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--collect",
         action="store_true",
-        help="pipeline: round-trip shard snapshots through an asyncio "
-        "Collector on a localhost socket and verify the merged state is "
+        help="pipeline: round-trip shard snapshots through the "
+        "exactly-once CollectionService on a localhost socket (with a "
+        "blind-resend duplicate check) and verify the merged state is "
         "digest-identical to the in-memory round",
     )
     parser.add_argument(
@@ -990,9 +940,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="KEY",
         default=None,
         help="shared round key (hex or passphrase, >= 8 bytes). serve: "
-        "required. pipeline --collect: route the round-trip through the "
-        "authenticated exactly-once CollectionService, including a "
-        "blind-resend duplicate check",
+        "required. pipeline --collect: the producers' key (default: a "
+        "fresh random key)",
     )
     parser.add_argument(
         "--producer-key",

@@ -14,29 +14,15 @@ level instead of one float64 per coin:
   :func:`~repro.kernels.bernoulli.packed_bernoulli` (bit-plane
   fixed-point Bernoulli over raw ``uint64`` words, output already in
   the ``np.packbits`` wire format), packed-domain bit assignment, and
-  a columnwise popcount for packed chunks.
-* :mod:`.backends` — the pluggable *compute* backend registry
-  (``numpy`` | ``numba`` | ``threaded``) selected through
-  ``SamplerConfig(compute=...)`` and the ``pipeline --compute`` CLI
-  flag; see ``docs/kernels.md`` for the bit-exactness contract and how
-  to register a new backend.
+  a columnwise popcount for packed chunks, all plain numpy.
 
-The bitexact-vs-fast contract in one line: *bitexact* keeps fixed-seed
-output streams byte-identical to previous releases; *fast* keeps only
-the output distribution (to ~2^-60 per-bit, i.e. statistically
-indistinguishable) and is 4-10x faster end to end.
+The bitexact-vs-fast contract in one line (``docs/kernels.md`` has the
+rest): *bitexact* keeps fixed-seed output streams byte-identical to
+previous releases; *fast* keeps only the output distribution (to
+~2^-60 per-bit, i.e. statistically indistinguishable) and is 4-10x
+faster end to end.
 """
 
-from .backends import (
-    ComputeBackend,
-    NumbaBackend,
-    NumpyBackend,
-    ThreadedBackend,
-    available_compute_backends,
-    compute_backend_names,
-    get_compute_backend,
-    register_compute_backend,
-)
 from .bernoulli import (
     fixed_point_decompose,
     packed_assign_bits,
@@ -56,12 +42,10 @@ __all__ = [
     "packed_column_counts",
     "packed_width",
     "fixed_point_decompose",
-    "ComputeBackend",
-    "NumpyBackend",
-    "NumbaBackend",
-    "ThreadedBackend",
-    "register_compute_backend",
-    "get_compute_backend",
-    "compute_backend_names",
     "available_compute_backends",
 ]
+
+
+def available_compute_backends() -> tuple[str, ...]:
+    """Where the packed kernels run: numpy only (kept for run metadata)."""
+    return ("numpy",)

@@ -39,7 +39,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..exceptions import ValidationError
-from .backends import ComputeBackend, compute_backend_names, get_compute_backend
 
 __all__ = ["SamplerConfig", "BITEXACT", "FAST", "resolve_sampler"]
 
@@ -74,27 +73,12 @@ class SamplerConfig:
         exact sparse correction (1..32).  8 is the measured sweet spot;
         the *distribution* is ~2^-60-exact at any setting, precision
         only trades plane work against correction work.
-    compute:
-        Which registered :class:`~repro.kernels.backends.ComputeBackend`
-        executes the packed kernels (``"numpy"`` | ``"numba"`` |
-        ``"threaded"`` | any name registered via
-        :func:`~repro.kernels.backends.register_compute_backend`).
-        Orthogonal to ``exactness``: under ``"bitexact"`` sampling never
-        reaches a compute backend (the frozen float64 path is scalar
-        numpy by definition), so the choice only accelerates the
-        aggregation-side popcount — which is exact integer math on
-        every backend.  Under ``"fast"`` the backend also executes
-        ``packed_bernoulli`` under the distributional contract.  The
-        name must be registered at construction time; *availability*
-        (an optional dependency like numba) is checked when the backend
-        is resolved via :meth:`compute_backend`.
     """
 
     backend: str = "pcg64"
     dtype: str = "float64"
     exactness: str = "bitexact"
     precision: int = 8
-    compute: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.backend not in _BACKENDS:
@@ -123,11 +107,6 @@ class SamplerConfig:
             raise ValidationError(f"precision must be an integer, got {self.precision!r}")
         if not 1 <= int(self.precision) <= 32:
             raise ValidationError(f"precision must lie in [1, 32], got {self.precision}")
-        if self.compute not in compute_backend_names():
-            raise ValidationError(
-                f"compute must name a registered backend "
-                f"{list(compute_backend_names())}, got {self.compute!r}"
-            )
 
     # ------------------------------------------------------------------
     @property
@@ -171,17 +150,9 @@ class SamplerConfig:
             f"or None, got {rng!r}"
         )
 
-    def compute_backend(self) -> ComputeBackend:
-        """Resolve the configured compute backend (loud if unavailable)."""
-        return get_compute_backend(self.compute)
-
     def with_precision(self, precision: int) -> "SamplerConfig":
         """Copy of this config with a different plane budget."""
         return replace(self, precision=precision)
-
-    def with_compute(self, compute: str) -> "SamplerConfig":
-        """Copy of this config executing its kernels on *compute*."""
-        return replace(self, compute=compute)
 
     @classmethod
     def from_name(cls, name) -> "SamplerConfig":

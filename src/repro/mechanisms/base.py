@@ -34,6 +34,7 @@ from .._validation import (
 from ..exceptions import ValidationError
 from ..kernels import (
     packed_assign_bits,
+    packed_bernoulli,
     packed_width,
     resolve_sampler,
 )
@@ -318,17 +319,10 @@ class UnaryMechanism(Mechanism):
         return inputs
 
     def _perturb_many_packed(self, inputs, rng, sampler) -> np.ndarray:
-        """Packed-kernel body: b-law background, packed hot-bit overwrite.
-
-        The background draw goes through the sampler's *compute*
-        backend (``numpy`` | ``numba`` | ``threaded``, see
-        :mod:`repro.kernels.backends`); this path is only reachable
-        under the ``fast`` contract, so backends are free to consume
-        the generator differently as long as the released law matches.
-        """
+        """Packed-kernel body: b-law background, packed hot-bit overwrite."""
         if inputs.size == 0:
             return np.empty((0, packed_width(self.m)), dtype=np.uint8)
-        packed = sampler.compute_backend().packed_bernoulli(
+        packed = packed_bernoulli(
             self._b, inputs.size, rng, precision=sampler.precision
         )
         hot = rng.random(inputs.size) < self._a[inputs]

@@ -25,7 +25,7 @@ from .._validation import check_positive_int
 from ..estimation.frequency import FrequencyEstimator
 from ..estimation.merge import RoundEstimate
 from ..exceptions import ValidationError
-from ..kernels import get_compute_backend, packed_width
+from ..kernels import packed_column_counts, packed_width
 from ..mechanisms.base import CategoricalMechanism
 
 __all__ = ["CountAccumulator"]
@@ -44,35 +44,13 @@ class CountAccumulator:
         (cross-round combination goes through
         :func:`repro.estimation.merge.merge_round_estimates`, which
         weights by each round's noise level instead of adding counts).
-    compute:
-        Compute backend executing the packed popcount (``"numpy"`` |
-        ``"numba"`` | ``"threaded"``, see
-        :mod:`repro.kernels.backends`).  Pure performance: the popcount
-        is exact integer math on every backend, so accumulated state is
-        bit-identical regardless of the choice.  Resolved eagerly so an
-        unavailable backend fails at construction, not mid-round.
     """
 
-    def __init__(
-        self, m: int, *, round_id: int = 0, compute: str = "numpy"
-    ) -> None:
+    def __init__(self, m: int, *, round_id: int = 0) -> None:
         self.m = check_positive_int(m, "m")
         self.round_id = int(round_id)
-        self.compute = str(compute)
-        self._backend = get_compute_backend(self.compute)
         self._counts = np.zeros(self.m, dtype=np.int64)
         self._n = 0
-
-    def __getstate__(self):
-        # The resolved backend may hold a thread pool / JIT state;
-        # re-resolve by name on the other side instead of shipping it.
-        state = self.__dict__.copy()
-        state.pop("_backend", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._backend = get_compute_backend(self.compute)
 
     # ------------------------------------------------------------------
     # State
@@ -195,8 +173,38 @@ class CountAccumulator:
         # Columnwise popcount straight off the packed bytes (vertical-
         # counting bit-plane adder) — the chunk is never unpacked to one
         # byte per bit.
-        self._counts += self._backend.packed_column_counts(matrix, self.m)
+        self._counts += packed_column_counts(matrix, self.m)
         self._n += matrix.shape[0]
+
+    def absorb_frame(self, obj) -> None:
+        """Absorb one decoded wire frame: a snapshot or a packed chunk.
+
+        The single merge rule for every ingestion surface — the
+        exactly-once service's live merge and its spill replay — so
+        width/round refusals behave identically everywhere.
+        """
+        # wire imports this module, so the frame type is looked up late.
+        from .collect.wire import PackedChunk
+
+        if isinstance(obj, CountAccumulator):
+            self.merge(obj)
+        elif isinstance(obj, PackedChunk):
+            if obj.m != self.m:
+                raise ValidationError(
+                    f"cannot ingest width-{obj.m} chunk into width-"
+                    f"{self.m} round"
+                )
+            if obj.round_id != self.round_id:
+                raise ValidationError(
+                    f"cannot ingest round-{obj.round_id} chunk into round "
+                    f"{self.round_id}"
+                )
+            self.add_packed_reports(obj.rows)
+        else:
+            raise ValidationError(
+                f"cannot ingest {type(obj).__name__}; expected "
+                "CountAccumulator or PackedChunk"
+            )
 
     def add_categories(self, outputs) -> None:
         """Absorb a chunk of categorical outputs (one id in ``0..m-1`` each).

@@ -1,6 +1,6 @@
-"""Durable collection: wire format, disk-backed shards, async ingestion.
+"""Durable collection: wire format and disk-backed shards.
 
-The three pieces a distributed deployment of the pipeline needs between
+The pieces a distributed deployment of the pipeline needs between
 "devices perturb" and "collector estimates":
 
 * :mod:`.wire` — the versioned, CRC-checksummed binary frame format for
@@ -9,17 +9,15 @@ The three pieces a distributed deployment of the pipeline needs between
   ``docs/wire_format.md`` for the byte layout and versioning rules.
 * :mod:`.store` — :class:`ShardStore`, append-only per-shard spill files
   of chunk frames with out-of-core replay and digest-based audit.
-* :mod:`.collector` — :class:`Collector`, an asyncio endpoint merging
-  frames from concurrent producers (queue or localhost socket feed)
-  into a live accumulator, with :func:`send_frames` as the client side.
+* :mod:`.framing` — the async frame reader every socket surface of
+  :mod:`repro.pipeline.service` shares.
 
 Everything round-trips bit-exactly: a round spilled and replayed, or
-shipped frame-by-frame through a collector socket, reproduces the
+shipped frame-by-frame through the collection service, reproduces the
 in-memory :func:`~repro.pipeline.engine.stream_counts` state digest for
 digest.
 """
 
-from .collector import Collector, apply_frame_object, send_frames
 from .store import ShardChunkWriter, ShardStore
 from .wire import (
     HEADER_SIZE,
@@ -49,9 +47,6 @@ from .wire import (
 )
 
 __all__ = [
-    "Collector",
-    "send_frames",
-    "apply_frame_object",
     "ShardStore",
     "ShardChunkWriter",
     "PackedChunk",

@@ -1,9 +1,8 @@
 """Async frame IO shared by every socket surface of the pipeline.
 
-One reader for all of them — the lab :class:`~.collector.Collector`,
-the exactly-once service's server, and the service client — so
-truncation handling, the declared-length cap, and the idle-timeout
-contract can never drift between endpoints.
+One reader for both of them — the exactly-once service's server and
+the service client — so truncation handling, the declared-length cap,
+and the idle-timeout contract can never drift between endpoints.
 """
 
 from __future__ import annotations

@@ -447,9 +447,7 @@ class ShardStore:
         with open(path, "rb") as handle:
             return wire.loads(handle.read())
 
-    def replay_shard(
-        self, shard_id: int, *, compute: str = "numpy"
-    ) -> CountAccumulator:
+    def replay_shard(self, shard_id: int) -> CountAccumulator:
         """Re-aggregate one shard from its spilled chunks, out of core.
 
         The spill file is mmap'd and decoded in place: each chunk's rows
@@ -457,9 +455,7 @@ class ShardStore:
         per-frame ``bytes`` copy), and the consumed prefix is released
         back to the OS (``madvise(MADV_DONTNEED)``) as the walk passes
         it, so peak resident memory stays bounded by the release window
-        regardless of spill size.  *compute* selects the popcount
-        backend (:mod:`repro.kernels.backends`); the replayed state is
-        bit-identical on every backend.
+        regardless of spill size.
         """
         path = self.chunk_path(shard_id)
         if not os.path.exists(path):
@@ -488,7 +484,7 @@ class ShardStore:
                         )
                     if accumulator is None:
                         accumulator = CountAccumulator(
-                            chunk.m, round_id=chunk.round_id, compute=compute
+                            chunk.m, round_id=chunk.round_id
                         )
                     elif (
                         chunk.m != accumulator.m
@@ -522,13 +518,13 @@ class ShardStore:
                 pass
         return accumulator
 
-    def replay(self, *, compute: str = "numpy") -> CountAccumulator:
+    def replay(self) -> CountAccumulator:
         """Re-aggregate the whole round: replay every shard and merge."""
         ids = self.shard_ids()
         if not ids:
             raise ValidationError(f"no spilled shards under {self.root}")
         return CountAccumulator.merge_all(
-            self.replay_shard(shard_id, compute=compute) for shard_id in ids
+            self.replay_shard(shard_id) for shard_id in ids
         )
 
     # ------------------------------------------------------------------
@@ -548,9 +544,7 @@ class ShardStore:
         """
         return self.replay_and_audit()[1]
 
-    def replay_and_audit(
-        self, *, compute: str = "numpy"
-    ) -> tuple[CountAccumulator, dict[int, dict]]:
+    def replay_and_audit(self) -> tuple[CountAccumulator, dict[int, dict]]:
         """One out-of-core pass: the merged round plus the audit report.
 
         Equivalent to ``(replay(), audit())`` but each spilled chunk
@@ -561,7 +555,7 @@ class ShardStore:
         merged: CountAccumulator | None = None
         report: dict[int, dict] = {}
         for shard_id in self.shard_ids():
-            replayed = self.replay_shard(shard_id, compute=compute)
+            replayed = self.replay_shard(shard_id)
             snapshot_digest = None
             if os.path.exists(self.snapshot_path(shard_id)):
                 snapshot_digest = self.load_snapshot(shard_id).digest()

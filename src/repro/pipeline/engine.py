@@ -186,13 +186,8 @@ def stream_counts(
     """
     width = report_width(mechanism)
     if accumulator is None:
-        # The accumulator inherits the sampler's compute backend, so
-        # `--compute threaded` accelerates both sides of the loop (the
-        # popcount is exact on every backend; see repro.kernels.backends).
         accumulator = CountAccumulator(
-            width,
-            round_id=0 if round_id is None else round_id,
-            compute=resolve_sampler(sampler).compute,
+            width, round_id=0 if round_id is None else round_id
         )
     elif accumulator.m != width:
         raise ValidationError(

@@ -1,11 +1,10 @@
 """Exactly-once, authenticated collection service.
 
-The :class:`~repro.pipeline.collect.collector.Collector` of
-:mod:`repro.pipeline.collect` is a lab endpoint: producers are
-anonymous, delivery is at-least-once (a lost ack after a successful
-merge makes a blind resend double-count), and a crash mid-round loses
-the live state.  This package is the deployment-shaped endpoint layered
-on the same wire format, PrivCount-style:
+The one ingest path of the pipeline: producers authenticate, delivery
+is exactly-once (a blind resend after a lost ack is acknowledged as a
+duplicate, not re-merged), and a crash mid-round loses nothing that was
+acknowledged.  The endpoint is layered on the wire format of
+:mod:`repro.pipeline.collect`, PrivCount-style:
 
 * :mod:`.auth` — the HMAC-keyed session handshake and the
   :class:`KeyRegistry` of per-producer keys (keyfile-loadable,

@@ -50,6 +50,7 @@ from .auth import (
     session_mac,
     verify_control_reply_mac,
 )
+from .quotas import ServiceLimits
 from .routing import RoutingTable, parse_moved
 
 __all__ = [
@@ -59,6 +60,8 @@ __all__ = [
     "refresh_routing_table",
     "control_call",
 ]
+
+_MAX_REPLY_BYTES = ServiceLimits().max_frame_bytes
 
 
 class ServiceSession:
@@ -226,7 +229,12 @@ class ServiceSession:
         await self._writer.drain()
 
     async def _read(self, expectation: str):
-        obj = await read_session_frame(self._reader)
+        # Session replies are a challenge or an ack, never a bulk frame:
+        # the service's own frame cap bounds what a hostile peer can
+        # make the producer buffer before any MAC check.
+        obj = await read_session_frame(
+            self._reader, max_frame_bytes=_MAX_REPLY_BYTES
+        )
         if obj is None:
             raise WireFormatError(
                 f"service hung up while the producer awaited the {expectation}"
@@ -250,11 +258,10 @@ async def send_records(
 ) -> list[wire.Ack]:
     """Authenticate and ship *frames* as records ``start_seq, ...``.
 
-    The exactly-once counterpart of
-    :func:`repro.pipeline.collect.collector.send_frames`: each frame
-    becomes one record, acks come back in order, and re-running the call
-    verbatim (a blind resend) yields ``ACK_DUPLICATE`` for everything
-    already committed instead of double-counting it.
+    Each frame becomes one record, acks come back in order, and
+    re-running the call verbatim (a blind resend) yields
+    ``ACK_DUPLICATE`` for everything already committed instead of
+    double-counting it.
 
     Records are pipelined through a *bounded window*: up to
     ``max_inflight`` records stream out before their acks are

@@ -305,7 +305,7 @@ class GroupCommitScheduler:
                     appended_keys.append((producer_id, item["seq"]))
                 await loop.run_in_executor(None, round_.ledger.sync)
                 for producer_id, item in to_commit:
-                    round_.absorb(item["inner"])
+                    round_.accumulator.absorb_frame(item["inner"])
                     round_.note_member(producer_id, item["seq"])
                     round_.records_merged += 1
                     round_.bytes_ingested += len(item["frame"])

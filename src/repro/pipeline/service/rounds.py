@@ -40,7 +40,6 @@ from ...exceptions import LedgerError, ValidationError, WireFormatError
 from ...kernels import packed_width
 from ..accumulator import CountAccumulator
 from ..collect import wire
-from ..collect.collector import apply_frame_object
 from ..collect.store import ShardStore, atomic_write_bytes
 from .auth import fresh_nonce, keeper_party_label
 from .commit import GroupCommitScheduler
@@ -274,7 +273,7 @@ class RoundState:
                 for entry, obj in zip(entries, wire.iter_frames(handle)):
                     if entry.producer_id in self.excluded:
                         continue
-                    self.absorb(obj)
+                    self.accumulator.absorb_frame(obj)
         merged = 0
         kept_bytes = 0
         previous_end = 0
@@ -300,7 +299,7 @@ class RoundState:
         }
 
     # ------------------------------------------------------------------
-    # Mode-dependent merge surface
+    # Party label and membership
     # ------------------------------------------------------------------
     @property
     def party(self) -> bytes:
@@ -312,19 +311,6 @@ class RoundState:
         if self.mode == MODE_KEEPER:
             return keeper_party_label(self.keeper_id)
         return b""
-
-    def absorb(self, obj) -> None:
-        """Merge one validated inner object into this round's state.
-
-        The single dispatch point between the classic plaintext merge
-        (:func:`~repro.pipeline.collect.collector.apply_frame_object`)
-        and the split-trust accumulators — commit and recovery both go
-        through here, so replay is the same code path as live ingest.
-        """
-        if self.mode == MODE_COLLECT:
-            apply_frame_object(obj, self.accumulator)
-        else:
-            self.accumulator.absorb_frame(obj)
 
     def note_member(self, producer_id: str, seq: int) -> None:
         """Fold one committed record into the membership digest."""
@@ -511,7 +497,7 @@ class RoundState:
                 ) from exc
             raise
         for producer_id, seq, _digest, _spill_end, frame in staged:
-            self.absorb(wire.loads(frame))
+            self.accumulator.absorb_frame(wire.loads(frame))
             self.note_member(producer_id, seq)
             self.records_merged += 1
             self.bytes_ingested += len(frame)

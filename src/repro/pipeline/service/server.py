@@ -2,9 +2,8 @@
 
 :class:`CollectionService` hosts one or many concurrent collection
 *rounds* and merges producer records into each round's live
-:class:`~repro.pipeline.accumulator.CountAccumulator` with guarantees
-the plain :class:`~repro.pipeline.collect.collector.Collector` does not
-make:
+:class:`~repro.pipeline.accumulator.CountAccumulator`, with these
+guarantees:
 
 * **authenticated, per producer**: a session must complete the HMAC
   handshake of :mod:`.auth` before any record frame is looked at, and

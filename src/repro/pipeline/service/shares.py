@@ -49,7 +49,7 @@ import struct
 import numpy as np
 
 from ...exceptions import ValidationError
-from ...kernels import get_compute_backend, packed_width
+from ...kernels import packed_column_counts, packed_width
 from ..accumulator import CountAccumulator
 from ..collect import wire
 from .auth import derive_share_secret, keeper_party_label
@@ -110,7 +110,7 @@ def blinding_words(secret: bytes, seq: int, m: int) -> np.ndarray:
     return rng.integers(0, 1 << 64, size=m, dtype=np.uint64)
 
 
-def chunk_count_words(rows, m: int, *, compute: str = "numpy") -> np.ndarray:
+def chunk_count_words(rows, m: int) -> np.ndarray:
     """Popcount a packed chunk into uint64 per-bit count words.
 
     The same vertical-counting kernel the plain accumulator uses
@@ -138,8 +138,7 @@ def chunk_count_words(rows, m: int, *, compute: str = "numpy") -> np.ndarray:
             f"packed reports have set bits beyond m={m}; producer and "
             "round widths disagree"
         )
-    backend = get_compute_backend(compute)
-    return backend.packed_column_counts(matrix, m).astype(np.uint64)
+    return packed_column_counts(matrix, m).astype(np.uint64)
 
 
 def blind_report_chunk(
@@ -149,7 +148,6 @@ def blind_report_chunk(
     round_id: int,
     seq: int,
     secrets: dict,
-    compute: str = "numpy",
 ) -> tuple:
     """Split one packed chunk into a blinded frame plus keeper shares.
 
@@ -176,7 +174,7 @@ def blind_report_chunk(
             "secrets must map at least one keeper_id to a share secret; "
             "blinding with zero keepers would ship the plain counts"
         )
-    counts = chunk_count_words(rows, m, compute=compute)
+    counts = chunk_count_words(rows, m)
     n = int(np.asarray(rows).shape[0])
     blinded_words = counts.copy()
     shares: dict[str, wire.BlindingShare] = {}
@@ -448,7 +446,6 @@ async def send_split_trust(
     m: int,
     round_id: int = 0,
     start_seq: int = 0,
-    compute: str = "numpy",
     max_inflight: int = 64,
 ) -> dict:
     """Blind *chunks* and ship each stream to its party, exactly-once.
@@ -503,7 +500,6 @@ async def send_split_trust(
             round_id=round_id,
             seq=int(start_seq) + offset,
             secrets=secrets,
-            compute=compute,
         )
         blinded_frames.append(blinded)
         for keeper_id, share in shares.items():

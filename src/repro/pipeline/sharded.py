@@ -150,11 +150,7 @@ class ShardedRunner:
         ``None`` / ``"bitexact"`` / ``"fast"`` / a
         :class:`~repro.kernels.SamplerConfig` applied in every worker.
         Also controls which BitGenerator the per-shard ``SeedSequence``
-        children are expanded with (the config's ``backend``), and
-        which compute backend (``SamplerConfig.compute``) executes the
-        packed kernels inside each worker — workers resolve the backend
-        by name after unpickling, so thread pools and JIT state never
-        cross the process boundary.
+        children are expanded with (the config's ``backend``).
     """
 
     def __init__(

@@ -1,7 +1,7 @@
 """End-to-end: durable and networked collection match in-memory exactly.
 
 The acceptance bar for the collection subsystem: on the same seed, the
-spill→replay path and the socket-ingest path must produce *estimates
+spill→replay path and the service-ingest path must produce *estimates
 bit-identical* to the in-memory ``stream_counts`` path — not close, not
 statistically indistinguishable: identical float64 arrays, because every
 path aggregates the very same integer counts.
@@ -16,16 +16,16 @@ import pytest
 
 from repro.mechanisms import OptimizedUnaryEncoding
 from repro.pipeline import (
-    Collector,
+    CollectionService,
     ShardedRunner,
     ShardStore,
-    send_frames,
+    send_records,
     shard_bounds,
-    stream_counts,
 )
 from repro.pipeline.collect import wire
 
 M, N, CHUNK, SHARDS, SEED = 24, 900, 128, 3, 42
+KEY = "0123456789abcdef"
 
 
 @pytest.fixture(params=["bitexact", "fast"])
@@ -38,6 +38,27 @@ def workload():
     mechanism = OptimizedUnaryEncoding(2.0, M)
     items = np.random.default_rng(7).integers(M, size=N)
     return mechanism, items
+
+
+async def _ship(store_root, producer_frames) -> CollectionService:
+    """Ship each producer's frames to a fresh service; return it closed."""
+    service = CollectionService(M, key=KEY, store_root=str(store_root))
+    host, port = await service.serve()
+    try:
+        ack_lists = await asyncio.gather(
+            *(
+                send_records(
+                    host, port, frames, key=KEY, producer_id=f"shard-{index}", m=M
+                )
+                for index, frames in enumerate(producer_frames)
+            )
+        )
+    finally:
+        await service.close()
+    assert all(
+        ack.status == wire.ACK_MERGED for acks in ack_lists for ack in acks
+    )
+    return service
 
 
 def _in_memory_reference(mechanism, items, sampler):
@@ -80,9 +101,9 @@ class TestSpillReplayPath:
 
 
 class TestSocketIngestPath:
-    def test_estimates_bit_identical(self, workload, sampler):
-        """Each shard streams per-chunk frames to a live collector over a
-        localhost socket; the collector's round equals the in-memory one."""
+    def test_estimates_bit_identical(self, workload, sampler, tmp_path):
+        """Each shard streams per-chunk records to the service over a
+        localhost socket; the service's round equals the in-memory one."""
         mechanism, items = workload
         reference = _in_memory_reference(mechanism, items, sampler)
 
@@ -108,25 +129,10 @@ class TestSocketIngestPath:
             ]
             shard_frames.append(frames)
 
-        async def scenario():
-            collector = Collector(M)
-            host, port = await collector.serve()
-            try:
-                acks = await asyncio.gather(
-                    *(
-                        send_frames(host, port, frames)
-                        for frames in shard_frames
-                    )
-                )
-            finally:
-                await collector.close()
-            return acks, collector
-
-        acks, collector = asyncio.run(scenario())
-        assert sum(acks) == sum(len(frames) for frames in shard_frames)
-        assert collector.accumulator.digest() == reference.digest()
+        service = asyncio.run(_ship(tmp_path / "service", shard_frames))
+        assert service.accumulator.digest() == reference.digest()
         assert np.array_equal(
-            collector.accumulator.estimate(mechanism),
+            service.accumulator.estimate(mechanism),
             reference.estimate(mechanism),
         )
 
@@ -134,7 +140,7 @@ class TestSocketIngestPath:
 class TestSnapshotRelayPath:
     def test_worker_snapshots_over_socket_match(self, workload, sampler, tmp_path):
         """PrivCount shape: shards spill locally, ship only snapshots; the
-        collector's merge equals the reference bit for bit."""
+        service's merge equals the reference bit for bit."""
         mechanism, items = workload
         reference = _in_memory_reference(mechanism, items, sampler)
         runner = ShardedRunner(
@@ -148,21 +154,10 @@ class TestSnapshotRelayPath:
         runner.run(items, seed=SEED, spill_dir=str(tmp_path / "round"))
         store = ShardStore(str(tmp_path / "round"))
 
-        async def scenario():
-            collector = Collector(M)
-            host, port = await collector.serve()
-            try:
-                for shard_id in store.shard_ids():
-                    await send_frames(
-                        host, port, [store.load_snapshot(shard_id)]
-                    )
-            finally:
-                await collector.close()
-            return collector
-
-        collector = asyncio.run(scenario())
-        assert collector.accumulator.digest() == reference.digest()
+        snapshots = [[store.load_snapshot(i)] for i in store.shard_ids()]
+        service = asyncio.run(_ship(tmp_path / "service", snapshots))
+        assert service.accumulator.digest() == reference.digest()
         assert np.array_equal(
-            collector.accumulator.estimate(mechanism),
+            service.accumulator.estimate(mechanism),
             reference.estimate(mechanism),
         )

@@ -229,6 +229,84 @@ class TestPackedFormat:
             packed_assign_bits(packed, np.array([0]), np.array([1]))
 
 
+def _random_packed(rows, m, seed):
+    """A random packed chunk with its trailing pad bits cleared."""
+    width = packed_width(m)
+    matrix = np.random.default_rng(seed).integers(
+        0, 256, size=(rows, width), dtype=np.uint8
+    )
+    pad_bits = 8 * width - m
+    if pad_bits:
+        matrix[:, -1] &= (0xFF << pad_bits) & 0xFF
+    return matrix
+
+
+def _unpacked_counts(matrix, m):
+    return np.unpackbits(matrix, axis=1, count=m).sum(axis=0, dtype=np.int64)
+
+
+class TestColumnCountExactness:
+    """The vertical-counting popcount is exact integer math at every size.
+
+    Rows are halved while more than 64 remain, and an odd row is folded
+    into the counts before each halving, so the row counts below sit on
+    both sides of every halving the adder performs.
+    """
+
+    @pytest.mark.parametrize(
+        "rows", [0, 1, 63, 64, 65, 66, 127, 128, 129, 130, 257, 4097]
+    )
+    def test_counts_match_unpacked_sum_around_halvings(self, rows):
+        m = 203  # 26 bytes, 5 pad bits
+        matrix = _random_packed(rows, m, seed=rows)
+        counts = packed_column_counts(matrix, m)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, _unpacked_counts(matrix, m))
+
+    def test_all_ones_counts_every_row(self):
+        m = 37
+        matrix = np.packbits(np.ones((7000, m), dtype=np.uint8), axis=1)
+        assert np.array_equal(
+            packed_column_counts(matrix, m), np.full(m, 7000, dtype=np.int64)
+        )
+
+    def test_strided_and_read_only_views(self):
+        m = 64
+        base = _random_packed(3001, m, seed=11)
+        strided = base[::3]
+        read_only = np.frombuffer(base.tobytes(), dtype=np.uint8).reshape(base.shape)
+        assert not read_only.flags.writeable
+        assert np.array_equal(
+            packed_column_counts(strided, m), _unpacked_counts(strided, m)
+        )
+        assert np.array_equal(
+            packed_column_counts(read_only, m), _unpacked_counts(base, m)
+        )
+
+
+class TestKernelShapes:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+    def test_uniform_rows_and_pad_bits(self, n):
+        packed = packed_bernoulli(np.full(13, 0.5), n, FAST.make_generator(n))
+        assert packed.shape == (n, 2) and packed.dtype == np.uint8
+        assert not np.any(packed[:, -1] & 0b111)
+
+    def test_same_generator_state_same_output(self):
+        p = np.linspace(0.05, 0.95, 21)
+        first = packed_bernoulli(p, 3000, FAST.make_generator(5))
+        again = packed_bernoulli(p, 3000, FAST.make_generator(5))
+        other = packed_bernoulli(p, 3000, FAST.make_generator(6))
+        assert np.array_equal(first, again)
+        assert not np.array_equal(first, other)
+
+    def test_non_uniform_columns_each_match_their_rate(self):
+        p = np.linspace(0.1, 0.9, 16)
+        n = 20_000
+        _, ones = _kernel_ones(p, n, seed=3)
+        for column, rate in enumerate(p):
+            assert _binom_pvalue(int(ones[column]), n, rate) > ALPHA, column
+
+
 class TestBitexactRegression:
     """The default sampler's fixed-seed streams are frozen.
 

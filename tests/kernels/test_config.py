@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.kernels import BITEXACT, FAST, SamplerConfig, resolve_sampler
+from repro.kernels import (
+    BITEXACT,
+    FAST,
+    SamplerConfig,
+    available_compute_backends,
+    resolve_sampler,
+)
 
 
 class TestSamplerConfig:
@@ -104,3 +112,24 @@ class TestSamplerConfig:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             FAST.backend = "pcg64"
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            BITEXACT,
+            FAST,
+            SamplerConfig(exactness="fast", backend="philox", dtype="u64", precision=5),
+        ],
+        ids=["bitexact", "fast", "custom"],
+    )
+    def test_pickle_roundtrip(self, config):
+        # Configs cross process boundaries with ShardedRunner workers.
+        clone = pickle.loads(pickle.dumps(config))
+        assert clone == config
+        assert np.array_equal(
+            clone.make_generator(7).random(4), config.make_generator(7).random(4)
+        )
+
+
+def test_kernels_run_on_numpy_only():
+    assert available_compute_backends() == ("numpy",)

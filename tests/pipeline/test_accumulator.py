@@ -299,3 +299,87 @@ class TestPackedWidthMismatch:
         acc = CountAccumulator(12)
         acc.add_packed_reports(np.packbits(reports, axis=1))
         assert acc.n == 4
+
+
+class TestAbsorbFrame:
+    """The merge rule the service applies to every decoded frame."""
+
+    @staticmethod
+    def _snapshot(m=8, n=6, round_id=0, seed=0) -> CountAccumulator:
+        rng = np.random.default_rng(seed)
+        acc = CountAccumulator(m, round_id=round_id)
+        acc.add_reports((rng.random((n, m)) < 0.5).astype(np.int8))
+        return acc
+
+    @staticmethod
+    def _chunk(m=8, k=4, round_id=0, seed=1):
+        from repro.pipeline.collect import wire
+
+        rng = np.random.default_rng(seed)
+        bits = (rng.random((k, m)) < 0.5).astype(np.uint8)
+        return wire.PackedChunk(
+            m=m, round_id=round_id, rows=np.packbits(bits, axis=1)
+        )
+
+    def test_snapshot_and_chunk_interleave(self):
+        acc = CountAccumulator(8)
+        snap, chunk = self._snapshot(), self._chunk()
+        acc.absorb_frame(snap)
+        acc.absorb_frame(chunk)
+        expected = CountAccumulator(8)
+        expected.merge(snap)
+        expected.add_packed_reports(chunk.rows)
+        assert acc.digest() == expected.digest()
+        assert acc.n == 10
+
+    def test_wrong_width_chunk_refused(self):
+        with pytest.raises(ValidationError, match="width"):
+            CountAccumulator(8).absorb_frame(self._chunk(m=16))
+
+    def test_wrong_round_chunk_refused(self):
+        with pytest.raises(ValidationError, match="round"):
+            CountAccumulator(8, round_id=0).absorb_frame(self._chunk(round_id=3))
+
+    def test_wrong_round_snapshot_refused(self):
+        with pytest.raises(ValidationError, match="round"):
+            CountAccumulator(8, round_id=0).absorb_frame(
+                self._snapshot(round_id=1)
+            )
+
+    def test_corrupt_frame_refused(self):
+        from repro.exceptions import WireFormatError
+        from repro.pipeline.collect import wire
+
+        frame = bytearray(wire.dumps(self._snapshot()))
+        frame[-1] ^= 0xFF
+        acc = CountAccumulator(8)
+        with pytest.raises(WireFormatError, match="checksum"):
+            acc.absorb_frame(wire.loads(bytes(frame)))
+        assert acc.n == 0
+
+    def test_unknown_object_refused(self):
+        with pytest.raises(ValidationError, match="cannot ingest"):
+            CountAccumulator(8).absorb_frame([1, 2, 3])
+
+    def test_decoded_bytes_and_views_absorb_alike(self):
+        # A frame decoded from bytes, a bytearray or a memoryview (the
+        # zero-copy path hands read-only row views) merges identically.
+        from repro.pipeline.collect import wire
+
+        frames = [wire.dumps(self._snapshot(seed=2)), wire.dumps(self._chunk(seed=3))]
+        digests = set()
+        for wrap in (bytes, bytearray, memoryview):
+            acc = CountAccumulator(8)
+            for frame in frames:
+                acc.absorb_frame(wire.loads(wrap(frame)))
+            digests.add(acc.digest())
+        assert len(digests) == 1
+
+    def test_refused_frame_leaves_state_untouched(self):
+        acc = CountAccumulator(8)
+        acc.absorb_frame(self._snapshot(seed=4))
+        before = acc.digest()
+        for bad in (self._chunk(m=16), self._chunk(round_id=2), self._snapshot(m=16)):
+            with pytest.raises(ValidationError):
+                acc.absorb_frame(bad)
+        assert acc.digest() == before

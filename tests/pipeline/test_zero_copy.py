@@ -176,13 +176,6 @@ class TestMmapReplay:
         assert copy_log == []
         assert replayed.digest() == expected.digest()
 
-    def test_replay_with_threaded_backend_is_bit_identical(self, tmp_path):
-        store, expected = self._spill(tmp_path)
-        assert (
-            store.replay_shard(0, compute="threaded").digest()
-            == expected.digest()
-        )
-
     def test_replay_empty_spill_is_loud(self, tmp_path):
         store = ShardStore(str(tmp_path))
         with open(store.chunk_path(3), "wb"):

@@ -10,11 +10,17 @@ session capacity shedding), and resumability (covered in depth by
 from __future__ import annotations
 
 import asyncio
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from repro.exceptions import AuthenticationError, ValidationError
+from repro.exceptions import (
+    AuthenticationError,
+    QuotaExceededError,
+    ValidationError,
+)
 from repro.pipeline import (
     CollectionService,
     CountAccumulator,
@@ -259,6 +265,35 @@ class TestQuotasAndBackpressure:
         assert "caps frames" in ack.detail
         assert service.accumulator.n == 0
 
+    def test_producer_refuses_oversized_reply_header(self):
+        """A peer answering HELLO with a header that declares a 4 GiB
+        payload is refused at header-parse time, not buffered."""
+        head = bytearray(wire.dumps(CountAccumulator(M))[: wire.HEADER_SIZE])
+        head[32:36] = struct.pack("<I", 2**32 - 1)
+        head[36:40] = struct.pack("<I", zlib.crc32(bytes(head[:36])))
+
+        async def scenario():
+            release = asyncio.Event()
+
+            async def handle(reader, writer):
+                writer.write(bytes(head))
+                await writer.drain()
+                await release.wait()  # hold the connection open
+                writer.close()
+
+            server = await asyncio.start_server(handle, "127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()[:2]
+            session = ServiceSession(host, port, key=KEY, producer_id="p", m=M)
+            try:
+                with pytest.raises(QuotaExceededError, match="caps frames"):
+                    await asyncio.wait_for(session.connect(), timeout=1.0)
+            finally:
+                release.set()
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
+
     def test_connection_frame_quota_sheds_but_keeps_acked(self, tmp_path):
         # Handshake costs 2 producer frames; allow 2 records after that.
         limits = ServiceLimits(max_connection_frames=4)
@@ -386,6 +421,144 @@ class TestLifecycle:
         assert stats["records_merged"] == 1
         assert stats["producers"] == ["p"]
         assert stats["n"] == service.accumulator.n
+
+
+class TestServeAndClose:
+    def test_serve_twice_rejected(self, tmp_path):
+        async def scenario(service, host, port):
+            with pytest.raises(ValidationError, match="already serving"):
+                await service.serve()
+
+        _run(scenario, tmp_path)
+
+    def test_serve_after_close_rejected(self, tmp_path):
+        async def main():
+            service = CollectionService(
+                M, key=KEY, store_root=str(tmp_path / "round")
+            )
+            await service.close()
+            with pytest.raises(ValidationError, match="closed"):
+                await service.serve()
+
+        asyncio.run(main())
+
+    def test_close_without_serve_is_noop(self, tmp_path):
+        async def main():
+            service = CollectionService(
+                M, key=KEY, store_root=str(tmp_path / "round")
+            )
+            await service.close()
+            await service.close()
+            return service
+
+        service = asyncio.run(main())
+        assert service.accumulator.n == 0
+        assert service.connections_failed == 0
+
+    def test_close_after_clean_sessions_keeps_state(self, tmp_path):
+        async def scenario(service, host, port):
+            await send_records(
+                host, port, [_snapshot_frame(seed=8)], key=KEY,
+                producer_id="p", m=M,
+            )
+
+        service, _ = _run(scenario, tmp_path)
+        expected = CountAccumulator(M)
+        expected.absorb_frame(wire.loads(_snapshot_frame(seed=8)))
+        assert service.accumulator.digest() == expected.digest()
+        assert service.records_merged == 1
+        # Close persisted the round: a resumed service rebuilds it.
+        resumed = CollectionService(
+            M, key=KEY, store_root=str(tmp_path / "round"), resume=True
+        )
+        try:
+            assert resumed.accumulator.digest() == expected.digest()
+        finally:
+            asyncio.run(resumed.close())
+
+    def test_close_cancels_half_sent_hello(self, tmp_path):
+        """A producer stalled mid-HELLO cannot hang shutdown."""
+
+        async def main():
+            service = CollectionService(
+                M, key=KEY, store_root=str(tmp_path / "round")
+            )
+            host, port = await service.serve()
+            _, writer = await asyncio.open_connection(host, port)
+            writer.write(_snapshot_frame()[:10])
+            await writer.drain()
+            await asyncio.sleep(0.05)
+            await asyncio.wait_for(service.close(), timeout=2.0)
+            writer.close()
+            return service
+
+        service = asyncio.run(main())
+        assert service.accumulator.n == 0
+        assert service.connections_failed == 1
+
+
+class TestSocketIngest:
+    def test_multiple_connections_merge_exactly(self, tmp_path):
+        async def scenario(service, host, port):
+            return await asyncio.gather(
+                *(
+                    send_records(
+                        host, port, [_snapshot_frame(seed=seed)], key=KEY,
+                        producer_id=f"edge-{seed}", m=M,
+                    )
+                    for seed in range(6)
+                )
+            )
+
+        service, results = _run(scenario, tmp_path)
+        assert [acks[0].status for acks in results] == [wire.ACK_MERGED] * 6
+        expected = CountAccumulator.merge_all(
+            wire.loads(_snapshot_frame(seed=seed)) for seed in range(6)
+        )
+        assert service.accumulator.digest() == expected.digest()
+        assert service.records_merged == 6
+
+    def test_failed_connection_does_not_kill_server(self, tmp_path):
+        async def scenario(service, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"garbage-not-a-frame" * 4)
+            await writer.drain()
+            assert await reader.read() == b""  # the service hangs up
+            writer.close()
+            assert service.connections_failed == 1
+            return await send_records(
+                host, port, [_chunk_frame(seed=3)], key=KEY,
+                producer_id="p", m=M,
+            )
+
+        service, acks = _run(scenario, tmp_path)
+        assert [a.status for a in acks] == [wire.ACK_MERGED]
+        assert service.records_merged == 1
+
+    def test_refused_record_resent_repaired_counts_once(self, tmp_path):
+        """A corrupt record merges nothing, and resending the repaired
+        batch lands every record exactly once."""
+        good, fixed = _chunk_frame(seed=5), _chunk_frame(seed=6)
+        corrupt = bytearray(fixed)
+        corrupt[-1] ^= 0xFF
+
+        async def scenario(service, host, port):
+            first = await send_records(
+                host, port, [good, bytes(corrupt)], key=KEY,
+                producer_id="p", m=M, raise_on_refusal=False,
+            )
+            again = await send_records(
+                host, port, [good, fixed], key=KEY, producer_id="p", m=M,
+            )
+            return first, again
+
+        service, (first, again) = _run(scenario, tmp_path)
+        assert [a.status for a in first] == [wire.ACK_MERGED, wire.ACK_REFUSED]
+        assert [a.status for a in again] == [wire.ACK_DUPLICATE, wire.ACK_MERGED]
+        expected = CountAccumulator(M)
+        for frame in (good, fixed):
+            expected.absorb_frame(wire.loads(frame))
+        assert service.accumulator.digest() == expected.digest()
 
 
 class TestTimeouts:

@@ -145,9 +145,19 @@ class TestPipelineCLI:
 
 
 class TestServiceCLI:
-    def test_collect_with_auth_key_uses_service(self, capsys, tmp_path):
-        """--collect --auth-key routes through the exactly-once service,
-        including the blind-resend duplicate verification."""
+    @pytest.mark.parametrize(
+        "key_args, key_mode",
+        [
+            ([], "a fresh random key"),
+            (["--auth-key", "00112233445566778899aabbccddeeff"], "a shared key"),
+        ],
+        ids=["no-key", "auth-key"],
+    )
+    def test_collect_with_auth_key_uses_service(
+        self, capsys, tmp_path, key_args, key_mode
+    ):
+        """--collect routes through the exactly-once service, including
+        the blind-resend duplicate verification, with or without a key."""
         assert (
             main(
                 [
@@ -160,13 +170,14 @@ class TestServiceCLI:
                     "--packed",
                     "--collect",
                     "--spill-dir", str(tmp_path / "round"),
-                    "--auth-key", "00112233445566778899aabbccddeeff",
+                    *key_args,
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
         assert "service collect:" in out
+        assert key_mode in out
         assert "merged exactly once" in out
         assert "deduplicated" in out
 

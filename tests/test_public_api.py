@@ -21,7 +21,10 @@ PACKAGES = [
     "repro.optim",
     "repro.estimation",
     "repro.simulation",
+    "repro.kernels",
     "repro.pipeline",
+    "repro.pipeline.collect",
+    "repro.pipeline.service",
     "repro.datasets",
     "repro.audit",
     "repro.experiments",
