@@ -5,7 +5,7 @@
 PYTHON ?= python
 PYTHONPATH_PREFIX = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-faults coverage check bench bench-pipeline bench-collect bench-service bench-scaleout-smoke bench-rebalance-smoke bench-json
+.PHONY: test test-faults coverage check bench bench-pipeline bench-collect bench-service bench-scaleout-smoke bench-rebalance-smoke bench-json perfbench-selftest
 
 test:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -x -q
@@ -94,6 +94,13 @@ bench-rebalance-smoke:
 	BENCH_REBALANCE_SMOKE=1 $(PYTHONPATH_PREFIX) $(PYTHON) -m pytest \
 		"benchmarks/bench_service.py::bench_service_rebalance" -q \
 		-o python_files='bench_*.py' -o python_functions='bench_*'
+
+# The repo benchmark's self-test: every perfbench workload at tiny size,
+# untraced and traced, plus its leftover-process and failure checks.
+# perfbench/layers.py wraps repro methods by name, so renaming one of
+# them fails here instead of silently breaking the benchmark.
+perfbench-selftest:
+	$(PYTHON) perfbench/selftest.py
 
 # Machine-readable perf trajectory: BENCH_*.json under benchmarks/results/.
 bench-json:

@@ -12,7 +12,9 @@ Three numbers gate the service design:
   trades a scheduling hop per batch on this single-connection path for
   its cross-connection coalescing.)
 * **recovery latency** — how long a restart takes to load the ledger,
-  truncate the spill to the committed offset, and replay the round.
+  truncate the spill to the committed offset, and rebuild the round:
+  once with the round's checkpoint removed (every spilled frame
+  replayed) and once resuming from it (only the tail past it).
 * **cross-connection group commit** — the multi-round scenario: 8
   producers pipelining into a hosted round must ingest at least 1.3x
   faster with round-scoped commit coalescing (one fsync pair covering
@@ -46,7 +48,9 @@ from repro.pipeline import (
 )
 from repro.pipeline.collect import wire
 from repro.pipeline.collect.framing import read_frame_bytes
+from repro.pipeline.collect.store import ShardStore
 from repro.pipeline.service import ShardFleet, aggregate_round, send_records_routed
+from repro.pipeline.service.rounds import SERVICE_SHARD_ID
 
 N_USERS = 40_000
 DOMAIN = 2_000
@@ -375,13 +379,39 @@ def bench_service_multiround_group_commit(
     )
 
 
+RECOVERY_MODES = {
+    # name -> (keep the round's checkpoint?, result label)
+    "full_replay": (
+        False,
+        "crash resume, checkpoint removed "
+        "(ledger load + truncate + full spill replay)",
+    ),
+    "checkpointed": (
+        True,
+        "checkpointed resume (ledger load + truncate + checkpoint load "
+        "+ tail replay)",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(RECOVERY_MODES))
 def bench_service_recovery(
-    benchmark, frames, scratch_roots, record_result, record_json
+    benchmark, mode, frames, scratch_roots, record_result, record_json
 ):
-    """Restart latency: ledger load + spill truncation + full replay."""
+    """Restart latency, from the same on-disk round every time: with the
+    checkpoint removed (every spilled frame replayed) and with it."""
+    keep_checkpoint, label = RECOVERY_MODES[mode]
     scratch = scratch_roots()
     reference = _service_ingest(frames, scratch).accumulator.digest()
-    root = scratch + "/r"
+    pristine, root = scratch + "/r", scratch + "/resume"
+    if not keep_checkpoint:
+        os.unlink(ShardStore(pristine).checkpoint_path(SERVICE_SHARD_ID))
+
+    def fresh_copy():
+        # A resume rewrites the checkpoint after a replayed tail, so
+        # every timed round starts from a copy of the pristine state.
+        shutil.rmtree(root, ignore_errors=True)
+        shutil.copytree(pristine, root)
 
     def recover() -> CollectionService:
         service = CollectionService(
@@ -390,24 +420,32 @@ def bench_service_recovery(
         asyncio.run(service.abort())
         return service
 
-    service = benchmark(recover)
+    service = benchmark.pedantic(
+        recover, setup=fresh_copy, rounds=5, iterations=1
+    )
     assert service.recovered_records == len(frames)
     assert service.accumulator.digest() == reference
+    replayed = service.round(0).replayed_records
+    assert replayed == (0 if keep_checkpoint else len(frames))
     secs = benchmark.stats["mean"]
-    wire_bits = 8 * service.bytes_ingested
+    # Replay throughput only means something when frames were replayed.
+    rate = 8 * service.bytes_ingested / secs if replayed else None
+    name = "service_recovery" + ("_checkpointed" if keep_checkpoint else "")
     record_json(
-        "service_recovery",
+        name,
         n=N_USERS,
         m=DOMAIN,
         secs=secs,
-        bits_per_sec=wire_bits / secs,
+        bits_per_sec=rate,
         records=service.recovered_records,
+        replayed_records=replayed,
     )
     record_result(
-        "service_recovery",
-        "restart recovery (ledger load + truncate + replay): "
-        f"n={N_USERS}, m={DOMAIN}, {service.recovered_records} records\n"
-        f"mean {secs * 1e3:.1f}ms -> {wire_bits / secs / 1e6:,.0f} Mbit/s wire",
+        name,
+        f"{label}: n={N_USERS}, m={DOMAIN}, {service.recovered_records} "
+        f"records, {replayed} replayed\n"
+        f"mean {secs * 1e3:.1f}ms over 5 rounds"
+        + (f" -> {rate / 1e6:,.0f} Mbit/s wire" if rate else ""),
     )
 
 

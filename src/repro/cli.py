@@ -416,7 +416,7 @@ def _run_serve(args) -> None:
     ``--exit-after N`` stops once N records have merged (smoke tests,
     bounded rounds); otherwise the service runs until interrupted.
     Either way shutdown is graceful: handlers cancelled, spill + ledger
-    synced, final snapshots written atomically.  ``--rounds-config``
+    synced, final checkpoints written atomically.  ``--rounds-config``
     hosts many concurrent rounds; ``--keys-file`` authenticates each
     producer with its own key (the file hot-reloads on change, so keys
     rotate without a restart).  ``--shard NAME --control-key KEY`` runs
@@ -599,7 +599,7 @@ def _run_coordinator(args) -> None:
     with ``--exit-after N`` until N records have merged across the
     fleet, otherwise until interrupted.  Either way the exit path runs
     the full lifecycle — ``drain`` (no new sessions anywhere, in-flight
-    batches commit) then ``close-round`` (snapshots, durable) — and
+    batches commit) then ``close-round`` (checkpoints, durable) — and
     prints per-shard totals.  Rounds are left closed, not retired, so
     ``aggregate`` can still pull their state.
     """

@@ -12,7 +12,18 @@ import asyncio
 from ...exceptions import QuotaExceededError, WireFormatError
 from . import wire
 
-__all__ = ["read_frame_bytes", "read_session_frame"]
+__all__ = ["read_frame_bytes", "read_session_frame", "unread_bytes"]
+
+
+def unread_bytes(reader: asyncio.StreamReader) -> int:
+    """Bytes *reader* has received that no read has consumed yet.
+
+    Non-zero while a read waits means part of a frame has arrived: a
+    header still incomplete, or a payload still short.
+    ``StreamReader`` keeps these bytes in its ``_buffer`` and has no
+    public accessor; a reader without one counts as empty.
+    """
+    return len(getattr(reader, "_buffer", b""))
 
 
 async def read_frame_bytes(
@@ -21,6 +32,7 @@ async def read_frame_bytes(
     max_frame_bytes: int | None = None,
     header_timeout: float | None = None,
     payload_timeout: float | None = None,
+    on_header=None,
 ) -> bytes | None:
     """Read one complete raw frame; ``None`` at clean EOF.
 
@@ -42,6 +54,9 @@ async def read_frame_bytes(
     stalls *mid-frame* can never resume on a frame boundary, so the
     connection is broken, not idle, and the caller must drop it rather
     than wait or flush-and-retry.
+
+    *on_header*, if given, is called with no arguments once the header
+    has arrived: from then on the frame is mid-read.
     """
     try:
         head_read = reader.readexactly(wire.HEADER_SIZE)
@@ -56,6 +71,8 @@ async def read_frame_bytes(
             f"truncated frame: header needs {wire.HEADER_SIZE} bytes, "
             f"got {len(exc.partial)}"
         ) from exc
+    if on_header is not None:
+        on_header()
     _, _, _, _, _, length = wire._parse_header(head)
     if max_frame_bytes is not None and length > max_frame_bytes:
         raise QuotaExceededError(

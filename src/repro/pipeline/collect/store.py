@@ -15,6 +15,8 @@ Layout under the store root::
         shard_00000.chunks     concatenated chunk frames (append-only)
         shard_00000.index      frame-boundary sidecar (durable writers)
         shard_00000.snapshot   one snapshot frame, written at shard end
+        shard_00000.checkpoint a snapshot frame plus the log position it
+                               covers (service rounds, see checkpoints)
         shard_00001.chunks
         ...
 
@@ -30,6 +32,14 @@ sync` for fsync-before-ack protocols; :meth:`ShardStore.recover_shard`
 then truncates a crashed spill back to its last complete frame (index
 fast path plus a frame-scan fallback for spills written without one),
 so a restart resumes the shard instead of failing on a partial frame.
+
+Checkpoints: a service round's spill is an append-only log that a
+restart would otherwise re-decode from byte zero.  A *checkpoint* is an
+atomically replaced, CRC-checked file holding one snapshot frame plus
+an opaque *position* blob naming how much of the log that snapshot
+covers (:meth:`ShardStore.write_checkpoint`).  It is advisory: a
+missing, torn, or corrupted checkpoint loads as ``None`` and the caller
+replays from the start of the spill instead.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ import os
 import re
 import struct
 import tempfile
+import zlib
 
 import numpy as np
 
@@ -52,7 +63,13 @@ __all__ = ["ShardStore", "ShardChunkWriter", "atomic_write_bytes"]
 _CHUNK_SUFFIX = ".chunks"
 _INDEX_SUFFIX = ".index"
 _SNAPSHOT_SUFFIX = ".snapshot"
+_CHECKPOINT_SUFFIX = ".checkpoint"
 _INDEX_ENTRY = struct.Struct("<Q")
+# Checkpoint file: magic and the CRC32 of the body, then the body: the
+# position blob's length, the blob, and one snapshot frame.
+_CHECKPOINT_HEAD = struct.Struct("<4sI")
+_CHECKPOINT_MAGIC = b"IDCP"
+_U32 = struct.Struct("<I")
 
 # Replay releases consumed mmap pages back to the OS in windows of this
 # many bytes (page-aligned), so a multi-gigabyte spill replays with a
@@ -72,8 +89,11 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
     fd, tmp_path = tempfile.mkstemp(
         dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
     )
+    os.close(fd)
     try:
-        with os.fdopen(fd, "wb") as handle:
+        # Reopened by name through open(), like every other durable file
+        # here, so fault-injection harnesses that wrap open() cover it.
+        with open(tmp_path, "wb") as handle:
             handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())
@@ -291,6 +311,11 @@ class ShardStore:
     def snapshot_path(self, shard_id: int) -> str:
         return os.path.join(self.root, f"shard_{int(shard_id):05d}{_SNAPSHOT_SUFFIX}")
 
+    def checkpoint_path(self, shard_id: int) -> str:
+        return os.path.join(
+            self.root, f"shard_{int(shard_id):05d}{_CHECKPOINT_SUFFIX}"
+        )
+
     def shard_ids(self) -> list[int]:
         """Sorted ids of every shard with a spilled chunk file.
 
@@ -342,6 +367,49 @@ class ShardStore:
         path = self.snapshot_path(shard_id)
         atomic_write_bytes(path, wire.dumps(accumulator))
         return path
+
+    def write_checkpoint(self, shard_id: int, frame: bytes, position: bytes) -> str:
+        """Atomically replace one shard's checkpoint; returns the path.
+
+        *frame* is an encoded snapshot frame (``wire.dumps`` of the
+        state); *position* is the caller's description of the log prefix
+        that state covers, stored verbatim and returned by
+        :meth:`load_checkpoint`.
+        """
+        body = _U32.pack(len(position)) + position + frame
+        path = self.checkpoint_path(shard_id)
+        head = _CHECKPOINT_HEAD.pack(_CHECKPOINT_MAGIC, zlib.crc32(body))
+        atomic_write_bytes(path, head + body)
+        return path
+
+    def load_checkpoint(self, shard_id: int):
+        """``(state, position)`` from one shard's checkpoint, or ``None``.
+
+        ``None`` covers every way a checkpoint can be unusable — absent,
+        unreadable, torn, CRC-bad, or holding an undecodable frame —
+        because a checkpoint only ever shortens a replay; whether its
+        *position* still matches the log is the caller's check.
+        """
+        try:
+            with open(self.checkpoint_path(shard_id), "rb") as handle:
+                blob = handle.read()
+        except OSError:
+            return None
+        if len(blob) < _CHECKPOINT_HEAD.size + _U32.size:
+            return None
+        magic, crc = _CHECKPOINT_HEAD.unpack_from(blob)
+        body = memoryview(blob)[_CHECKPOINT_HEAD.size :]
+        if magic != _CHECKPOINT_MAGIC or zlib.crc32(body) != crc:
+            return None
+        (position_len,) = _U32.unpack_from(body)
+        position = bytes(body[_U32.size : _U32.size + position_len])
+        if len(position) != position_len:
+            return None
+        try:
+            state = wire.loads(body[_U32.size + position_len :])
+        except (WireFormatError, ValidationError):
+            return None
+        return state, position
 
     # ------------------------------------------------------------------
     # Crash recovery
@@ -439,13 +507,22 @@ class ShardStore:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def load_snapshot(self, shard_id: int) -> CountAccumulator:
-        """Load one shard's snapshot frame."""
+    def _stored_state(self, shard_id: int):
+        """The shard's snapshot, else its checkpoint's state, else None."""
         path = self.snapshot_path(shard_id)
-        if not os.path.exists(path):
+        if os.path.exists(path):
+            with open(path, "rb") as handle:
+                return wire.loads(handle.read())
+        checkpoint = self.load_checkpoint(shard_id)
+        return None if checkpoint is None else checkpoint[0]
+
+    def load_snapshot(self, shard_id: int) -> CountAccumulator:
+        """Load one shard's snapshot frame (its checkpoint's state when
+        the shard has no snapshot file, as a service round does)."""
+        state = self._stored_state(shard_id)
+        if state is None:
             raise ValidationError(f"no snapshot for shard {shard_id} under {self.root}")
-        with open(path, "rb") as handle:
-            return wire.loads(handle.read())
+        return state
 
     def replay_shard(self, shard_id: int) -> CountAccumulator:
         """Re-aggregate one shard from its spilled chunks, out of core.
@@ -534,9 +611,10 @@ class ShardStore:
         """Replay every shard and compare digests against its snapshot.
 
         Returns ``{shard_id: {"snapshot_digest", "replay_digest",
-        "match"}}``; a shard without a snapshot gets ``snapshot_digest
-        None`` and ``match False``.  A full-round pass means the spilled
-        chunks reproduce each reported shard state bit for bit.
+        "match"}}``; a shard with neither a snapshot nor a checkpoint
+        gets ``snapshot_digest None`` and ``match False``.  A full-round
+        pass means the spilled chunks reproduce each reported shard
+        state bit for bit.
 
         Needing the round's merged state as well?  Use
         :meth:`replay_and_audit` — it decodes every chunk file once
@@ -556,9 +634,8 @@ class ShardStore:
         report: dict[int, dict] = {}
         for shard_id in self.shard_ids():
             replayed = self.replay_shard(shard_id)
-            snapshot_digest = None
-            if os.path.exists(self.snapshot_path(shard_id)):
-                snapshot_digest = self.load_snapshot(shard_id).digest()
+            stored = self._stored_state(shard_id)
+            snapshot_digest = None if stored is None else stored.digest()
             report[shard_id] = {
                 "snapshot_digest": snapshot_digest,
                 "replay_digest": replayed.digest(),

@@ -29,6 +29,19 @@ drains one submission per commit — the per-connection baseline the
 ``make bench-service`` multi-round scenario measures group commit
 against.
 
+After a commit whose un-checkpointed tail has reached the round's
+cadence (:data:`~.rounds.CHECKPOINT_RECORDS` records or
+:data:`~.rounds.CHECKPOINT_BYTES` spill bytes), the committer resolves
+the batch's submissions first (so the acks are never behind the
+checkpoint), then captures the round's count state — still exactly the
+post-merge state, since the committer is its only writer — starts the
+checkpoint write on the executor, and goes on committing.  One write is
+in flight at a time: a checkpoint that falls due while the previous
+write still runs waits for it first.  ``paused()`` and ``close()`` wait
+for it too, so no older checkpoint can land after a migration's or a
+close's own.  A failed checkpoint write is counted on the round and
+never fails the commit.
+
 Failure containment mirrors the single-round design: a mid-commit IO
 error rolls the spill and any staged ledger entries back to the
 pre-batch boundary and fails every submission in the batch (their
@@ -80,6 +93,7 @@ class GroupCommitScheduler:
         # migration never interleaves with a half-written batch.
         self._idle = asyncio.Event()
         self._idle.set()
+        self._checkpoint_write: asyncio.Future | None = None
 
     # ------------------------------------------------------------------
     # Session-facing API
@@ -118,6 +132,7 @@ class GroupCommitScheduler:
         if self._task is not None:
             task, self._task = self._task, None
             await task
+        await self._checkpoint_written()
 
     @contextlib.asynccontextmanager
     async def paused(self):
@@ -140,10 +155,17 @@ class GroupCommitScheduler:
         self._paused = True
         try:
             await self._idle.wait()
+            await self._checkpoint_written()
             yield
         finally:
             self._paused = False
             self._wakeup.set()
+
+    async def _checkpoint_written(self) -> None:
+        """Wait out the checkpoint write in flight, if any."""
+        if self._checkpoint_write is not None:
+            await self._checkpoint_write
+            self._checkpoint_write = None
 
     # ------------------------------------------------------------------
     # The committer task
@@ -192,6 +214,15 @@ class GroupCommitScheduler:
                 for submission in batch:
                     if not submission.future.cancelled():
                         submission.future.set_result(None)
+                if self.round.checkpoint_due():
+                    await self._checkpoint_written()
+                    self._checkpoint_write = (
+                        asyncio.get_running_loop().run_in_executor(
+                            None,
+                            self.round.write_checkpoint,
+                            self.round.capture_checkpoint(),
+                        )
+                    )
 
     async def _commit(self, batch: list[_Submission]) -> None:
         """Spill, fsync, ledger, fsync, merge — for the whole batch.

@@ -920,7 +920,7 @@ class RoundCoordinator:
         self, round_id: int, *, snapshot: bool = True
     ) -> str:
         """Durably close the round on every shard (drains each shard's
-        commit pipeline; with *snapshot*, writes final snapshots)."""
+        commit pipeline; with *snapshot*, writes final checkpoints)."""
         record = self._round(round_id)
         await self._broadcast(
             "close-round",

@@ -29,10 +29,12 @@ little-endian, matching the wire format.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import islice
 
 from ...exceptions import LedgerError
 
@@ -40,6 +42,11 @@ __all__ = ["IdempotencyLedger", "LedgerEntry", "DIGEST_SIZE"]
 
 DIGEST_SIZE = 32  # SHA-256 of the record's core-frame bytes
 _HEAD = struct.Struct("<IHQQ")  # crc, producer_len, seq, spill_end
+
+
+def _entry_body(producer: bytes, seq: int, spill_end: int, digest: bytes) -> bytes:
+    """One entry as the file stores it after its CRC."""
+    return struct.pack("<HQQ", len(producer), seq, spill_end) + digest + producer
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,8 @@ class IdempotencyLedger:
         self._handle = None
         self.committed_offset = 0
         self.recovered_bytes_discarded = 0
+        # Running SHA-256 over the entries' bodies, in commit order.
+        self._chain = hashlib.sha256()
 
     # ------------------------------------------------------------------
     # Loading / recovery
@@ -108,6 +117,7 @@ class IdempotencyLedger:
                     "tail-truncation repair"
                 )
             self._entries[key] = entry
+            self._chain.update(body)
             self.committed_offset = max(self.committed_offset, spill_end)
             offset = end
         return offset
@@ -156,11 +166,8 @@ class IdempotencyLedger:
                 f"producer {producer_id!r} seq {seq} is already ledgered; "
                 "check seen() before append()"
             )
-        producer = producer_id.encode("utf-8")
-        body = (
-            struct.pack("<HQQ", len(producer), int(seq), int(spill_end))
-            + digest
-            + producer
+        body = _entry_body(
+            producer_id.encode("utf-8"), int(seq), int(spill_end), digest
         )
         self._handle.write(struct.pack("<I", zlib.crc32(body)) + body)
         entry = LedgerEntry(
@@ -170,6 +177,7 @@ class IdempotencyLedger:
             spill_end=int(spill_end),
         )
         self._entries[key] = entry
+        self._chain.update(body)
         self.committed_offset = max(self.committed_offset, int(spill_end))
         return entry
 
@@ -200,6 +208,7 @@ class IdempotencyLedger:
             raise LedgerError(f"ledger {self.path} is not open; call load()")
         for key in keys:
             self._entries.pop((key[0], int(key[1])), None)
+        self._chain = self._chain_over(self._entries.values())
         self._handle.flush()
         os.ftruncate(self._handle.fileno(), int(mark))
         self.committed_offset = max(
@@ -219,6 +228,35 @@ class IdempotencyLedger:
 
     def __contains__(self, key: tuple[str, int]) -> bool:
         return key in self._entries
+
+    @staticmethod
+    def _chain_over(entries):
+        return hashlib.sha256(
+            b"".join(
+                _entry_body(
+                    entry.producer_id.encode("utf-8"),
+                    entry.seq,
+                    entry.spill_end,
+                    entry.digest,
+                )
+                for entry in entries
+            )
+        )
+
+    def chain_digest(self, count: int | None = None) -> bytes:
+        """SHA-256 over the first *count* entries (all of them by
+        default) as the file encodes them, in commit order: equal chain
+        digests mean the same producers' records committed with the
+        same bytes in the same order."""
+        if count is None or count == len(self._entries):
+            return self._chain.copy().digest()
+        return self._chain_over(
+            islice(self._entries.values(), int(count))
+        ).digest()
+
+    def last(self) -> LedgerEntry | None:
+        """The most recently committed entry (``None`` when empty)."""
+        return next(reversed(self._entries.values()), None)
 
     def entries(self) -> list[LedgerEntry]:
         """All committed entries, in insertion (= commit) order."""

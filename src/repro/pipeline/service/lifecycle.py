@@ -17,7 +17,7 @@ answer, as an explicit state machine rather than a scatter of booleans:
   This is the phase an operator holds a round in while waiting for the
   last in-flight group commits before closing.
 * **closed** — durably closed: commit pipeline drained, spill and
-  ledger synced, final snapshot written.  State is still on disk and
+  ledger synced, final checkpoint written.  State is still on disk and
   pullable by an aggregator; nothing mutates it anymore.
 * **retired** — store handles freed and the round forgotten by its
   registry.  The round id may be re-registered later — as a *new

@@ -544,7 +544,7 @@ class CollectionService:
         In-flight connection handlers are cancelled and awaited (a
         stalled producer cannot hang shutdown); each round's commit
         pipeline is drained, its spill and ledger synced and closed,
-        and its snapshot written atomically.  Live accumulators stay
+        and its checkpoint written atomically.  Live accumulators stay
         readable.
         """
         await self._stop_serving()
@@ -555,7 +555,7 @@ class CollectionService:
             await state.close(snapshot=True)
 
     async def abort(self) -> None:
-        """Shutdown without final snapshots (crash-adjacent teardown).
+        """Shutdown without final checkpoints (crash-adjacent teardown).
 
         Everything acknowledged is already fsync'd, so an aborted
         service resumes exactly like a killed one; tests use this to

@@ -40,7 +40,7 @@ from ...exceptions import (
     WireFormatError,
 )
 from ..collect import wire
-from ..collect.framing import read_frame_bytes
+from ..collect.framing import read_frame_bytes, unread_bytes
 from .auth import KeyRegistry, fresh_nonce, verify_session_mac
 from .quotas import ConnectionQuota, Deadline, ServiceLimits
 from .rounds import RoundRegistry, RoundState
@@ -52,6 +52,20 @@ __all__ = ["SessionHost", "REAP_POLL_SECONDS"]
 #: sessions are checked on every frame; this bound only matters for a
 #: producer that goes silent after being revoked.
 REAP_POLL_SECONDS = 1.0
+
+
+class _Progress:
+    """What one connection owes its producer: a frame it has started
+    reading, or a staged record it has not acked yet.  Only a
+    connection that owes something failed when shutdown cuts it."""
+
+    __slots__ = ("owes",)
+
+    def __init__(self) -> None:
+        self.owes = False
+
+    def frame_started(self) -> None:
+        self.owes = True
 
 
 class SessionHost:
@@ -170,6 +184,7 @@ class SessionHost:
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
+        progress = _Progress()
         try:
             # Backpressure gate: stall while the service is at session
             # capacity, shed outright once the wait queue is full too.
@@ -186,16 +201,19 @@ class SessionHost:
             else:
                 await self._session_slots.acquire()
             try:
-                await self._serve_session(reader, writer)
+                await self._serve_session(reader, writer, progress)
             finally:
                 self._session_slots.release()
         except asyncio.CancelledError:
             # Service shutdown cancelled this handler; committed records
-            # are durable, the in-flight one was never acked.
-            self.connections_failed += 1
-            self.last_connection_error = (
-                "service closed during an in-flight session"
-            )
+            # are durable.  Cut mid-frame or with staged records unacked,
+            # the session failed; idle on a frame boundary with every ack
+            # sent (a producer that finished and hung up), it did not.
+            if progress.owes or unread_bytes(reader):
+                self.connections_failed += 1
+                self.last_connection_error = (
+                    "service closed during an in-flight session"
+                )
             return
         except (WireFormatError, ValidationError, ServiceError) as exc:
             # One broken producer must not take the service down.
@@ -216,7 +234,10 @@ class SessionHost:
                 pass
 
     async def _serve_session(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        progress: _Progress,
     ) -> None:
         quota = ConnectionQuota(self.limits)
         try:
@@ -345,6 +366,9 @@ class SessionHost:
                         round_id=round_.round_id,
                     )
                     return
+                progress.owes = bool(pending) or (
+                    commit_task is not None and not commit_task.done()
+                )
                 try:
                     # Header deadline: the group-commit idle signal when
                     # a batch is staged, the revocation-poll-capped
@@ -362,6 +386,7 @@ class SessionHost:
                             else min(idle.remaining(), REAP_POLL_SECONDS)
                         ),
                         payload_timeout=self.limits.session_idle_seconds,
+                        on_header=progress.frame_started,
                     )
                 except asyncio.TimeoutError:
                     if pending:

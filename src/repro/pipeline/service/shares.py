@@ -348,7 +348,7 @@ class BlindedAccumulator:
 
         The same v5 frames double as state transfer: ``n`` is the total
         rows covered, the payload the accumulated word sums.  Used for
-        snapshots and pull-state replies.
+        checkpoints and pull-state replies.
         """
         cls = self._expected_kind()
         return cls(

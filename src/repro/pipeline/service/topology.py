@@ -9,7 +9,7 @@ control plane.
 
 Crash semantics are the point of the exercise:
 
-* :meth:`ShardProcess.kill` is ``SIGKILL`` — no drain, no snapshot, no
+* :meth:`ShardProcess.kill` is ``SIGKILL`` — no drain, no checkpoint, no
   goodbye.  Whatever the shard acked is on disk (that is the service's
   per-ack durability contract), and nothing else is;
 * :meth:`ShardFleet.restart` brings a shard back **under the same
@@ -54,7 +54,7 @@ def _shard_child_main(config: dict, ready) -> None:
     Runs in a fresh interpreter state (post-fork); builds the service
     from the picklable *config*, reports the bound address through the
     *ready* queue, then serves until a SIGTERM asks for a graceful
-    close (drain commit pipelines, write snapshots).  SIGKILL is the
+    close (drain commit pipelines, write checkpoints).  SIGKILL is the
     crash path — by design nothing here runs for it.
     """
     import asyncio
@@ -183,13 +183,13 @@ class ShardProcess:
         return self._process.pid if self._process is not None else None
 
     def kill(self) -> None:
-        """SIGKILL — the crash path.  Nothing is drained or snapshot."""
+        """SIGKILL — the crash path.  Nothing is drained or checkpointed."""
         if self._process is not None:
             self._process.kill()
             self._process.join(timeout=10.0)
 
     def terminate(self, timeout: float = 30.0) -> None:
-        """SIGTERM — graceful close (drain, snapshot) then exit."""
+        """SIGTERM — graceful close (drain, checkpoint) then exit."""
         if self._process is None:
             return
         if self._process.is_alive():
@@ -344,7 +344,7 @@ class ShardFleet:
         return info
 
     def stop(self) -> None:
-        """Gracefully terminate every live shard (drain + snapshot)."""
+        """Gracefully terminate every live shard (drain + checkpoint)."""
         for shard in self.shards.values():
             shard.terminate()
 

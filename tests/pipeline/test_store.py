@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,48 @@ class TestAudit:
             handle.write(blob[:-7])
         with pytest.raises(WireFormatError, match="truncated"):
             store.replay_shard(0)
+
+
+class TestCheckpointFile:
+    def test_round_trip(self, tmp_path, rng):
+        m = 12
+        store = ShardStore(tmp_path / "round")
+        acc = CountAccumulator(m, round_id=3)
+        acc.add_reports((rng.random((9, m)) < 0.5).astype(np.int8))
+        store.write_checkpoint(0, wire.dumps(acc), b"position")
+        state, position = store.load_checkpoint(0)
+        assert state.digest() == acc.digest()
+        assert position == b"position"
+
+    def test_missing_or_damaged_checkpoint_loads_as_none(self, tmp_path):
+        store = ShardStore(tmp_path / "round")
+        assert store.load_checkpoint(0) is None
+        path = store.write_checkpoint(0, wire.dumps(CountAccumulator(4)), b"p")
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        for damaged in (blob[:-1], blob[:6], blob[:-3] + b"xyz"):
+            with open(path, "wb") as handle:
+                handle.write(damaged)
+            assert store.load_checkpoint(0) is None
+
+    def test_snapshot_file_wins_over_checkpoint(self, tmp_path, rng):
+        m = 8
+        store = ShardStore(tmp_path / "round")
+        bits = (rng.random((6, m)) < 0.5).astype(np.uint8)
+        acc = _spill_one_shard(store, 0, bits, m=m)
+        store.write_checkpoint(0, wire.dumps(CountAccumulator(m)), b"")
+        assert store.load_snapshot(0).digest() == acc.digest()
+        assert store.audit()[0]["match"]
+
+    def test_checkpoint_stands_in_for_a_missing_snapshot(self, tmp_path, rng):
+        m = 8
+        store = ShardStore(tmp_path / "round")
+        bits = (rng.random((6, m)) < 0.5).astype(np.uint8)
+        acc = _spill_one_shard(store, 0, bits, m=m)
+        os.unlink(store.snapshot_path(0))
+        store.write_checkpoint(0, wire.dumps(acc), b"")
+        assert store.load_snapshot(0).digest() == acc.digest()
+        assert store.audit()[0]["match"]
 
 
 class TestBookkeeping:

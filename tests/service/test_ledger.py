@@ -140,3 +140,43 @@ class TestTornTailRecovery:
         reloaded = IdempotencyLedger(ledger_path)
         with pytest.raises(LedgerError, match="two entries"):
             reloaded.load()
+
+
+class TestChainDigest:
+    ENTRIES = [("p", 0, b"a", 10), ("q", 0, b"b", 25), ("p", 1, b"c", 31)]
+
+    def test_chain_covers_entries_as_the_file_stores_them(self, ledger_path):
+        ledger = _committed(ledger_path, self.ENTRIES)
+        with open(ledger_path, "rb") as handle:
+            blob = handle.read()
+        bodies, offset = [], 0
+        for producer, _seq, _tag, _end in self.ENTRIES:
+            size = 4 + 2 + 8 + 8 + DIGEST_SIZE + len(producer)
+            bodies.append(blob[offset + 4 : offset + size])  # minus the CRC
+            offset += size
+        assert ledger.chain_digest() == hashlib.sha256(b"".join(bodies)).digest()
+        assert ledger.chain_digest(2) == hashlib.sha256(
+            b"".join(bodies[:2])
+        ).digest()
+        assert ledger.last().digest == _digest(b"c")
+
+    def test_chain_binds_producer_and_seq(self, ledger_path, tmp_path):
+        ledger = _committed(ledger_path, self.ENTRIES)
+        # Same frames at the same offsets, other producers and seqs.
+        swapped = [("r", 0, b"a", 10), ("q", 0, b"b", 25), ("p", 2, b"c", 31)]
+        other = _committed(str(tmp_path / "other.ledger"), swapped)
+        assert other.chain_digest() != ledger.chain_digest()
+
+    def test_reload_and_rollback_keep_the_chain(self, ledger_path):
+        full = _committed(ledger_path, self.ENTRIES).chain_digest()
+        ledger = IdempotencyLedger(ledger_path)
+        ledger.load()
+        assert ledger.chain_digest() == full
+        before = ledger.chain_digest()
+        mark = ledger.mark()
+        ledger.append("r", 0, _digest(b"d"), 40)
+        assert ledger.chain_digest() != before
+        ledger.rollback(mark, [("r", 0)])
+        assert ledger.chain_digest() == before
+        assert ledger.chain_digest(3) == before
+        ledger.close()

@@ -394,6 +394,9 @@ class TestLifecycle:
             CollectionService(M, key=KEY, store_root=str(tmp_path / "round"))
 
     def test_close_cancels_stalled_session(self, tmp_path):
+        """An authenticated session that went quiet on a frame boundary
+        cannot hang shutdown, and owes nothing, so it did not fail."""
+
         async def main():
             service = CollectionService(
                 M, key=KEY, store_root=str(tmp_path / "round")
@@ -407,6 +410,78 @@ class TestLifecycle:
             return service
 
         service = asyncio.run(main())
+        assert service.connections_failed == 0
+        assert service.last_connection_error is None
+
+    @staticmethod
+    def _close_during(tmp_path, act, *, limits=None):
+        """Serve, authenticate one producer, run ``act(session)``, then
+        close the service while that session is still open."""
+
+        async def main():
+            service = CollectionService(
+                M, key=KEY, store_root=str(tmp_path / "round"), limits=limits
+            )
+            host, port = await service.serve()
+            session = ServiceSession(host, port, key=KEY, producer_id="p", m=M)
+            await session.connect()
+            await act(session)
+            await asyncio.sleep(0.05)
+            await asyncio.wait_for(service.close(), timeout=2.0)
+            await session.close()
+            return service
+
+        return asyncio.run(main())
+
+    def test_close_after_every_ack_is_not_a_failure(self, tmp_path):
+        """A producer that got all its acks and is about to hang up when
+        close() cancels its handler finished cleanly."""
+
+        async def act(session):
+            for seq in range(3):
+                await session.send_nowait(_chunk_frame(seed=seq), seq)
+            for seq in range(3):
+                ack = await session.read_ack(seq)
+                assert ack.status == wire.ACK_MERGED
+
+        service = self._close_during(tmp_path, act)
+        assert service.records_merged == 3
+        assert service.connections_failed == 0
+        assert service.last_connection_error is None
+
+    @pytest.mark.parametrize(
+        "cut",
+        [wire.HEADER_SIZE - 7, wire.HEADER_SIZE, wire.HEADER_SIZE + 3],
+        ids=["inside-header", "after-header", "inside-payload"],
+    )
+    def test_close_mid_frame_is_a_failure(self, tmp_path, cut):
+        """A record cut anywhere inside its frame — header partly
+        buffered, header read with no payload yet, payload partly
+        buffered — was cut mid-read."""
+
+        async def act(session):
+            record = wire.dumps(
+                wire.Record(m=M, round_id=0, seq=0, frame=_chunk_frame())
+            )
+            session._writer.write(record[:cut])
+            await session._writer.drain()
+
+        service = self._close_during(tmp_path, act)
+        assert service.records_merged == 0
+        assert service.connections_failed == 1
+        assert "closed during" in service.last_connection_error
+
+    def test_close_with_staged_record_unacked_is_a_failure(self, tmp_path):
+        """A staged record still waiting for its commit (the idle flush
+        is far away) was never acked."""
+
+        async def act(session):
+            await session.send_nowait(_chunk_frame(), 0)
+
+        service = self._close_during(
+            tmp_path, act, limits=ServiceLimits(commit_idle_seconds=30.0)
+        )
+        assert service.records_merged == 0
         assert service.connections_failed == 1
         assert "closed during" in service.last_connection_error
 
