@@ -5,7 +5,7 @@
 PYTHON ?= python
 PYTHONPATH_PREFIX = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-faults coverage check bench bench-pipeline bench-collect bench-service bench-scaleout-smoke bench-rebalance-smoke bench-json perfbench-selftest
+.PHONY: test test-faults coverage check bench bench-pipeline bench-kernels bench-collect bench-service bench-scaleout-smoke bench-rebalance-smoke bench-json perfbench-selftest
 
 test:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -x -q
@@ -63,6 +63,15 @@ bench:
 bench-pipeline:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/bench_pipeline.py -q \
 		-o python_files='bench_*.py' -o python_functions='bench_*'
+
+# The packed popcount at the perfbench record shapes, one round, timed
+# against the unpack-and-sum reference in the same run; asserts only
+# that the kernel's counts equal the reference's.
+bench-kernels:
+	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest \
+		"benchmarks/bench_throughput.py::bench_popcount_kernel" -q \
+		-o python_files='bench_*.py' -o python_functions='bench_*' \
+		--repeat 1
 
 # Durable-collection throughput (spill / replay), with a
 # machine-readable record under benchmarks/results/BENCH_collect.json.

@@ -24,6 +24,7 @@ faster end to end.
 """
 
 from .bernoulli import (
+    check_packed_rows,
     fixed_point_decompose,
     packed_assign_bits,
     packed_bernoulli,
@@ -40,6 +41,7 @@ __all__ = [
     "packed_bernoulli",
     "packed_assign_bits",
     "packed_column_counts",
+    "check_packed_rows",
     "packed_width",
     "fixed_point_decompose",
     "available_compute_backends",

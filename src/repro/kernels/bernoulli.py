@@ -58,6 +58,7 @@ __all__ = [
     "packed_bernoulli",
     "packed_assign_bits",
     "packed_column_counts",
+    "check_packed_rows",
     "packed_width",
     "fixed_point_decompose",
 ]
@@ -396,56 +397,57 @@ def packed_assign_bits(packed: np.ndarray, columns, values) -> None:
     packed[rows, byte_index] = cleared | np.where(values, bit_mask, np.uint8(0))
 
 
-def packed_column_counts(packed: np.ndarray, m: int) -> np.ndarray:
-    """Per-column 1-counts of a packed chunk without unpacking it.
+#: Rows per popcount block: the most 0/1 rows a ``uint8`` column sum
+#: can hold without wrapping.
+_COUNT_BLOCK_ROWS = int(np.iinfo(np.uint8).max)
 
-    A vertical-counting (Harley–Seal style) popcount: rows are treated
-    as 1-bit numbers and pairwise-added with bitwise full-adder logic,
-    so after ``L`` halvings the chunk is ``rows / 2^L`` rows of
-    ``L+1``-bit bit-plane counters.  Total work is ``O(k * m / 8)``
-    byte-wide bitops — the remaining small plane stack is expanded and
-    summed conventionally.  Exact for any ``k``: odd rows are folded
-    straight into the running counts before each halving, and the
-    carry plane appended per level keeps every partial sum
-    representable.
+
+def check_packed_rows(packed, m: int) -> np.ndarray:
+    """Validate a packed chunk for an ``m``-bit round and return it.
+
+    The chunk must be a ``k x ceil(m / 8)`` ``uint8`` matrix whose
+    trailing pad bits are zero.  ``np.packbits`` zero-pads the tail
+    (MSB-first), so a set pad bit means the producer packed a wider
+    domain than the round's — refused, never silently truncated.
+    Read-only views are returned as they are, never copied.
     """
-    if packed.ndim != 2 or packed.dtype != np.uint8:
+    matrix = np.asarray(packed)
+    width = packed_width(m)
+    if matrix.ndim != 2 or matrix.shape[1] != width:
         raise ValidationError(
-            f"packed must be a 2-D uint8 matrix, got {packed.dtype} "
-            f"shape {getattr(packed, 'shape', None)}"
+            f"packed reports must have shape (k, {width}) for m={m}, "
+            f"got {matrix.shape}"
         )
-    width = packed.shape[1]
-    if packed_width(m) != width:
+    if matrix.dtype != np.uint8:
         raise ValidationError(
-            f"packed width {width} does not match m={m} (expected {packed_width(m)})"
+            f"packed reports must be uint8, got dtype {matrix.dtype}"
         )
+    pad_bits = 8 * width - m
+    if pad_bits and matrix.size and np.any(matrix[:, -1] & ((1 << pad_bits) - 1)):
+        raise ValidationError(
+            f"packed reports have set bits beyond m={m}; producer and "
+            "round widths disagree"
+        )
+    return matrix
+
+
+def packed_column_counts(packed, m: int) -> np.ndarray:
+    """Per-column 1-counts of a packed chunk, as ``int64``.
+
+    A blocked unpack-and-sum: each block of at most 255 rows is
+    unpacked to one byte per bit and summed down its columns in
+    ``uint8``, and the block sums are added into the ``int64`` counts.
+    Summing in ``uint8`` spares widening every unpacked byte to
+    ``int64``; a block's column sum is at most its row count, and 255
+    is ``np.iinfo(np.uint8).max``, so it cannot wrap.  The result is
+    exact integer math for any row count, so it is the same however
+    reports are grouped into chunks.  The chunk is validated by
+    :func:`check_packed_rows` first; read-only views are accepted and
+    the input is never mutated.
+    """
+    matrix = check_packed_rows(packed, m)
     counts = np.zeros(m, dtype=np.int64)
-    planes = [packed]  # planes[w] carries weight 2^w per set bit
-    rows = packed.shape[0]
-    while rows > 64:  # below this, adder overhead beats unpack+sum
-        if rows % 2:
-            for weight, plane in enumerate(planes):
-                counts += np.unpackbits(plane[-1], count=m).astype(np.int64) << weight
-            planes = [plane[:-1] for plane in planes]
-            rows -= 1
-        evens = [plane[0::2] for plane in planes]
-        odds = [plane[1::2] for plane in planes]
-        carry = None
-        reduced = []
-        for even, odd in zip(evens, odds):
-            if carry is None:
-                reduced.append(even ^ odd)
-                carry = even & odd
-            else:
-                partial = even ^ odd
-                reduced.append(partial ^ carry)
-                carry = (even & odd) | (carry & partial)
-        reduced.append(carry)
-        planes = reduced
-        rows //= 2
-    for weight, plane in enumerate(planes):
-        counts += (
-            np.unpackbits(plane, axis=1, count=m).sum(axis=0, dtype=np.int64)
-            << weight
-        )
+    for start in range(0, matrix.shape[0], _COUNT_BLOCK_ROWS):
+        block = matrix[start : start + _COUNT_BLOCK_ROWS]
+        counts += np.unpackbits(block, axis=1, count=m).sum(axis=0, dtype=np.uint8)
     return counts

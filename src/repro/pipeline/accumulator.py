@@ -25,7 +25,7 @@ from .._validation import check_positive_int
 from ..estimation.frequency import FrequencyEstimator
 from ..estimation.merge import RoundEstimate
 from ..exceptions import ValidationError
-from ..kernels import packed_column_counts, packed_width
+from ..kernels import packed_column_counts
 from ..mechanisms.base import CategoricalMechanism
 
 __all__ = ["CountAccumulator"]
@@ -153,26 +153,11 @@ class CountAccumulator:
             ever materializing the payload as ``bytes``.
         """
         matrix = np.asarray(packed)
-        width = packed_width(self.m)
-        if matrix.ndim != 2 or matrix.shape[1] != width:
-            raise ValidationError(
-                f"packed reports must have shape (k, {width}), got {matrix.shape}"
-            )
-        if matrix.dtype != np.uint8:
-            raise ValidationError(
-                f"packed reports must be uint8, got dtype {matrix.dtype}"
-            )
-        pad_bits = 8 * width - self.m
-        if pad_bits and matrix.size and np.any(matrix[:, -1] & ((1 << pad_bits) - 1)):
-            # np.packbits zero-pads the tail (MSB-first), so set pad bits
-            # mean the producer packed a wider domain than this round's.
-            raise ValidationError(
-                f"packed reports have set bits beyond m={self.m}; producer "
-                "and accumulator widths disagree"
-            )
-        # Columnwise popcount straight off the packed bytes (vertical-
-        # counting bit-plane adder) — the chunk is never unpacked to one
-        # byte per bit.
+        # Columnwise popcount: blocks of at most 255 rows (the most a
+        # uint8 column sum holds without wrapping) are unpacked, summed
+        # in uint8 and widened into the int64 counts.  The kernel first
+        # refuses a wrong shape or dtype and set pad bits (a producer
+        # packed a wider domain than this round's).
         self._counts += packed_column_counts(matrix, self.m)
         self._n += matrix.shape[0]
 

@@ -36,10 +36,8 @@ import json
 import os
 import struct
 
-import numpy as np
-
 from ...exceptions import LedgerError, ValidationError, WireFormatError
-from ...kernels import packed_width
+from ...kernels import check_packed_rows
 from ..accumulator import CountAccumulator
 from ..collect import wire
 from ..collect.store import ShardStore, atomic_write_bytes
@@ -663,16 +661,7 @@ class RoundState:
         elif isinstance(obj, wire.PackedChunk):
             matches = obj.m == self.m and obj.round_id == self.round_id
             if matches:
-                width = packed_width(self.m)
-                pad_bits = 8 * width - self.m
-                if (
-                    pad_bits
-                    and obj.rows.size
-                    and np.any(obj.rows[:, -1] & ((1 << pad_bits) - 1))
-                ):
-                    raise ValidationError(
-                        f"record chunk has set bits beyond m={self.m}"
-                    )
+                check_packed_rows(obj.rows, self.m)
         else:
             raise ValidationError(
                 f"records must wrap a snapshot or packed chunk, got "

@@ -49,7 +49,7 @@ import struct
 import numpy as np
 
 from ...exceptions import ValidationError
-from ...kernels import packed_column_counts, packed_width
+from ...kernels import packed_column_counts
 from ..accumulator import CountAccumulator
 from ..collect import wire
 from .auth import derive_share_secret, keeper_party_label
@@ -60,7 +60,6 @@ __all__ = [
     "ROLE_KEEPER",
     "BlindedAccumulator",
     "blinding_words",
-    "chunk_count_words",
     "blind_report_chunk",
     "member_stamp",
     "empty_member_digest",
@@ -110,37 +109,6 @@ def blinding_words(secret: bytes, seq: int, m: int) -> np.ndarray:
     return rng.integers(0, 1 << 64, size=m, dtype=np.uint64)
 
 
-def chunk_count_words(rows, m: int) -> np.ndarray:
-    """Popcount a packed chunk into uint64 per-bit count words.
-
-    The same vertical-counting kernel the plain accumulator uses
-    (:meth:`~repro.pipeline.accumulator.CountAccumulator.
-    add_packed_reports`), with the same shape/dtype/pad-bit validation,
-    but returning the counts as uint64 words ready for mod-2^64
-    blinding.
-    """
-    m = int(m)
-    if m <= 0:
-        raise ValidationError(f"m must be positive, got {m}")
-    matrix = np.asarray(rows)
-    width = packed_width(m)
-    if matrix.ndim != 2 or matrix.shape[1] != width:
-        raise ValidationError(
-            f"packed reports must have shape (k, {width}), got {matrix.shape}"
-        )
-    if matrix.dtype != np.uint8:
-        raise ValidationError(
-            f"packed reports must be uint8, got dtype {matrix.dtype}"
-        )
-    pad_bits = 8 * width - m
-    if pad_bits and matrix.size and np.any(matrix[:, -1] & ((1 << pad_bits) - 1)):
-        raise ValidationError(
-            f"packed reports have set bits beyond m={m}; producer and "
-            "round widths disagree"
-        )
-    return packed_column_counts(matrix, m).astype(np.uint64)
-
-
 def blind_report_chunk(
     rows,
     *,
@@ -174,9 +142,10 @@ def blind_report_chunk(
             "secrets must map at least one keeper_id to a share secret; "
             "blinding with zero keepers would ship the plain counts"
         )
-    counts = chunk_count_words(rows, m)
+    # The same blocked popcount (and shape/dtype/pad-bit validation) as
+    # the plain accumulator, as uint64 words for mod-2^64 blinding.
+    blinded_words = packed_column_counts(rows, int(m)).astype(np.uint64)
     n = int(np.asarray(rows).shape[0])
-    blinded_words = counts.copy()
     shares: dict[str, wire.BlindingShare] = {}
     with np.errstate(over="ignore"):
         for keeper_id in sorted(secrets):

@@ -27,6 +27,7 @@ from repro.exceptions import ValidationError
 from repro.kernels import (
     FAST,
     SamplerConfig,
+    check_packed_rows,
     fixed_point_decompose,
     packed_assign_bits,
     packed_bernoulli,
@@ -246,29 +247,40 @@ def _unpacked_counts(matrix, m):
 
 
 class TestColumnCountExactness:
-    """The vertical-counting popcount is exact integer math at every size.
+    """The blocked popcount is exact integer math at every size.
 
-    Rows are halved while more than 64 remain, and an odd row is folded
-    into the counts before each halving, so the row counts below sit on
-    both sides of every halving the adder performs.
+    Rows are counted in blocks of at most 255 (``np.iinfo(np.uint8).max``)
+    whose column sums are taken in ``uint8``, so the row counts below sit
+    on both sides of the first two block edges (255 and 510): a block
+    one row too tall would wrap a full column to zero.
     """
 
-    @pytest.mark.parametrize(
-        "rows", [0, 1, 63, 64, 65, 66, 127, 128, 129, 130, 257, 4097]
-    )
-    def test_counts_match_unpacked_sum_around_halvings(self, rows):
+    BLOCK_EDGES = [0, 1, 254, 255, 256, 509, 510, 511, 4097]
+
+    @pytest.mark.parametrize("rows", BLOCK_EDGES)
+    def test_counts_match_unpacked_sum_around_block_edges(self, rows):
         m = 203  # 26 bytes, 5 pad bits
         matrix = _random_packed(rows, m, seed=rows)
         counts = packed_column_counts(matrix, m)
         assert counts.dtype == np.int64
         assert np.array_equal(counts, _unpacked_counts(matrix, m))
 
-    def test_all_ones_counts_every_row(self):
+    @pytest.mark.parametrize("rows", BLOCK_EDGES + [7000])
+    def test_all_ones_counts_every_row(self, rows):
         m = 37
-        matrix = np.packbits(np.ones((7000, m), dtype=np.uint8), axis=1)
+        matrix = np.packbits(np.ones((rows, m), dtype=np.uint8), axis=1)
         assert np.array_equal(
-            packed_column_counts(matrix, m), np.full(m, 7000, dtype=np.int64)
+            packed_column_counts(matrix, m), np.full(m, rows, dtype=np.int64)
         )
+
+    def test_set_pad_bits_rejected(self):
+        m = 37  # 5 bytes, 3 pad bits
+        matrix = _random_packed(300, m, seed=4)
+        matrix[299, -1] |= 0b001
+        with pytest.raises(ValidationError, match="widths disagree"):
+            packed_column_counts(matrix, m)
+        with pytest.raises(ValidationError, match="widths disagree"):
+            check_packed_rows(matrix, m)
 
     def test_strided_and_read_only_views(self):
         m = 64

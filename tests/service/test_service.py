@@ -249,6 +249,48 @@ class TestValidation:
         assert service.records_merged == 0
         assert service.records_refused == 1
 
+    def test_chunk_with_set_pad_bits_refused_before_the_ledger(self, tmp_path):
+        """A chunk whose pad bits are set (its producer packed a wider
+        domain than the round's) is refused at staging: it is never
+        ledgered or spilled, and the round's digest does not move."""
+        m = 13  # 2 packed bytes, 3 pad bits
+        rows = np.packbits(np.ones((3, m), dtype=np.uint8), axis=1)
+        wide = rows.copy()
+        wide[1, -1] |= 0b100
+
+        async def main():
+            service = CollectionService(
+                m, key=KEY, store_root=str(tmp_path / "round")
+            )
+            host, port = await service.serve()
+            try:
+                async with ServiceSession(
+                    host, port, key=KEY, producer_id="p", m=m
+                ) as session:
+                    merged = await session.send(wire.dump_chunk(rows, m), 0)
+                    before = (
+                        service.accumulator.digest(),
+                        len(service.ledger),
+                        service.ledger.committed_offset,
+                    )
+                    refused = await session.send(wire.dump_chunk(wide, m), 1)
+                    after = (
+                        service.accumulator.digest(),
+                        len(service.ledger),
+                        service.ledger.committed_offset,
+                    )
+            finally:
+                await service.close()
+            return service, merged, refused, before, after
+
+        service, merged, refused, before, after = asyncio.run(main())
+        assert merged.status == wire.ACK_MERGED
+        assert refused.status == wire.ACK_REFUSED
+        assert after == before
+        assert service.ledger.seen("p", 1) is None
+        assert service.records_refused == 1
+        assert service.accumulator.n == 3
+
 
 class TestQuotasAndBackpressure:
     def test_oversized_frame_refused(self, tmp_path):

@@ -214,6 +214,17 @@ class TestTranscriptHelpers:
         with pytest.raises(ValidationError, match="keeper"):
             blind_report_chunk(packed, m=M, round_id=0, seq=0, secrets={})
 
+    def test_blind_report_chunk_rejects_set_pad_bits(self):
+        """A chunk packed for a wider domain never gets blinded: its
+        set pad bits are refused before any count leaves the producer."""
+        m = 13  # 2 packed bytes, 3 pad bits
+        packed, _ = _packed(m=m)
+        secrets = {"keeper-a": b"\x01" * 32}
+        blind_report_chunk(packed, m=m, round_id=0, seq=0, secrets=secrets)
+        packed[0, -1] |= 0b001
+        with pytest.raises(ValidationError, match="widths disagree"):
+            blind_report_chunk(packed, m=m, round_id=0, seq=0, secrets=secrets)
+
 
 class TestServiceModeValidation:
     def test_keeper_mode_requires_keeper_id(self, tmp_path):
