@@ -64,12 +64,15 @@ bench-pipeline:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/bench_pipeline.py -q \
 		-o python_files='bench_*.py' -o python_functions='bench_*'
 
-# The packed popcount at the perfbench record shapes, one round, timed
-# against the unpack-and-sum reference in the same run; asserts only
-# that the kernel's counts equal the reference's.
+# The two packed kernels at the perfbench record shapes, one round each:
+# the popcount timed against the unpack-and-sum reference, and the
+# per-column Bernoulli sampler against its raw-word floor, both in the
+# same run.  Asserts only that the popcount equals its reference and
+# that the sampler's output replays from a fresh generator.
 bench-kernels:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest \
-		"benchmarks/bench_throughput.py::bench_popcount_kernel" -q \
+		"benchmarks/bench_throughput.py::bench_popcount_kernel" \
+		"benchmarks/bench_throughput.py::bench_sampler_kernel" -q \
 		-o python_files='bench_*.py' -o python_functions='bench_*' \
 		--repeat 1
 

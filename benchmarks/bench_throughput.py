@@ -9,6 +9,9 @@ These time the operational costs a deployment cares about:
   PR 1 streamed-exact baseline on the same machine);
 * the packed column popcount every merge path runs, against the plain
   unpack-and-sum reference measured in the same run;
+* one per-column ``packed_bernoulli`` call at the perfbench record
+  shapes with the ``b`` vectors those workloads solve, next to the
+  raw-word floor (``random_raw`` for the same planes);
 * PS sampling rate over ragged item-set batches;
 * server-side calibration latency at Kosarak-scale domains;
 * optimization latency versus the number of privacy levels t (the
@@ -20,7 +23,9 @@ readable ``{name, n, m, secs, bits_per_sec, peak_rss}`` records.
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import sys
 import time
 
 import numpy as np
@@ -28,7 +33,14 @@ import pytest
 
 from repro import BudgetSpec, FrequencyEstimator, IDUE, IDUEPS, OptimizedUnaryEncoding
 from repro.datasets import kosarak_like, paper_default_spec, zipf_items
-from repro.kernels import BITEXACT, FAST, packed_column_counts
+from repro.kernels import (
+    BITEXACT,
+    FAST,
+    fixed_point_decompose,
+    packed_bernoulli,
+    packed_column_counts,
+    packed_width,
+)
 from repro.optim import solve
 from repro.pipeline import stream_counts
 from repro.simulation import simulate_counts_from_true
@@ -102,7 +114,13 @@ def bench_sampler_bitexact_stream(
 def bench_sampler_fast_packed_stream(
     benchmark, sampler_workload, record_result, record_json, repeat
 ):
-    """After: the packed bit-plane kernel, wire format end to end."""
+    """After: the packed bit-plane kernel, wire format end to end.
+
+    OUE's ``b`` is the same for every bit, so this workload only ever
+    takes ``packed_bernoulli``'s uniform branch; the per-column branch
+    IDUE and IDUE-PS take (and its set-up cost) is timed by
+    :func:`bench_sampler_kernel`.
+    """
     _bench_stream(
         benchmark,
         sampler_workload,
@@ -198,6 +216,103 @@ def bench_popcount_kernel(record_result, record_json, repeat):
             f"{reference_bytes_per_sec / 1e6:>9,.0f} {speedup:>7.2f}x"
         )
     record_result("throughput_popcount", "\n".join(lines))
+
+
+def _perfbench_workloads():
+    """``perfbench/workloads.py``, loaded by path (perfbench is no package)."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module here
+    spec.loader.exec_module(module)
+    return module
+
+
+def _drawn_planes(p, precision):
+    """Planes the per-column kernel draws a word for: those from the
+    lowest set bit of any threshold up."""
+    thresholds, _, _ = fixed_point_decompose(p, precision)
+    combined = int(np.bitwise_or.reduce(thresholds))
+    return precision - ((combined & -combined).bit_length() - 1) if combined else 0
+
+
+def _time_calls(fn, calls):
+    start = time.perf_counter_ns()
+    for _ in range(calls):
+        fn()
+    return (time.perf_counter_ns() - start) / calls / 1e9
+
+
+# Packed bytes one timed sampler sample covers (as for the popcount).
+SAMPLER_SAMPLE_BYTES = 1 << 22
+
+
+def bench_sampler_kernel(record_result, record_json, repeat):
+    """One per-column ``packed_bernoulli`` call vs the raw-word floor.
+
+    Each perfbench workload's record shape (users per record x report
+    bits) is sampled from the ``b`` vector that workload solves, with
+    the ``FAST`` precision.  The floor is the ``random_raw`` draws alone
+    for the same plane count, timed alternately in the same samples, so
+    kernel minus floor is the per-call work around the draws.  The only
+    assertion is determinism: the timed output equals a replay from a
+    fresh generator with the same seed.
+    """
+    samples = repeat(7)
+    workloads = _perfbench_workloads()
+    precision = FAST.precision
+    lines = [
+        f"per-column packed_bernoulli (precision {precision}), us per call over "
+        f"{samples} samples (min / median / IQR), {os.cpu_count()} cpus",
+        f"{'workload':>16} {'rows x bits':>12} {'planes':>6} {'kernel':>24} "
+        f"{'raw-word floor':>24} {'kernel/floor':>12}",
+    ]
+    for workload in workloads.WORKLOADS.values():
+        spec = workloads.budget_spec(workload, 1)
+        b = np.asarray(workloads.solve_mechanism(workload, spec).b)
+        rows, m = workload.reports_per_record, b.size
+        assert m == workloads.report_width(workload)
+        planes = _drawn_planes(b, precision)
+        n_words = -(-(rows * packed_width(m)) // 8)
+        first = packed_bernoulli(b, rows, np.random.Generator(np.random.SFC64(7)))
+        replay = packed_bernoulli(b, rows, np.random.Generator(np.random.SFC64(7)))
+        assert np.array_equal(first, replay)
+        generator = np.random.Generator(np.random.SFC64(8))
+        bit_generator = generator.bit_generator
+
+        def kernel():
+            packed_bernoulli(b, rows, generator, precision=precision)
+
+        def floor():
+            for _ in range(planes):
+                bit_generator.random_raw(n_words)
+
+        calls = max(1, SAMPLER_SAMPLE_BYTES // first.nbytes)
+        kernel_times, floor_times = [], []
+        for _ in range(samples):
+            kernel_times.append(_time_calls(kernel, calls))
+            floor_times.append(_time_calls(floor, calls))
+        kernel_us, floor_us = _spread_us(kernel_times), _spread_us(floor_times)
+        ratio = kernel_us["median"] / floor_us["median"]
+        record_json(
+            "throughput_sampler_kernel",
+            n=rows,
+            m=m,
+            secs=kernel_us["median"] / 1e6,
+            bits_per_sec=rows * m / kernel_us["median"] * 1e6,
+            workload=workload.name,
+            planes=planes,
+            kernel_us=kernel_us,
+            floor_us=floor_us,
+            kernel_over_floor=ratio,
+            samples=samples,
+            calls_per_sample=calls,
+        )
+        lines.append(
+            f"{workload.name:>16} {f'{rows} x {m}':>12} {planes:>6} "
+            f"{_render_us(kernel_us):>24} {_render_us(floor_us):>24} {ratio:>11.2f}x"
+        )
+    record_result("throughput_sampler_kernel", "\n".join(lines))
 
 
 @pytest.fixture(scope="module")

@@ -32,6 +32,23 @@ Write the target probability ``p`` as an ``L``-bit fixed-point threshold
    correction rate bounded and makes ``p = 1.0`` (like ``p = 0.0``)
    exactly deterministic.
 
+Per-column probabilities
+------------------------
+A uniform ``p`` needs one threshold, picked per call for almost
+nothing.  IDUE and IDUE-PS give every bit its own ``(a_k, b_k)``, so
+their ``b`` vector takes the per-column branch, whose set-up is the
+fixed-point decomposition of all ``m`` columns, one packed threshold
+mask per drawn plane, one correction group per distinct probability
+(``np.unique``) and the packed complement mask.  At the record shapes
+the mechanisms use (hundreds of rows, thousands of columns) that set-up
+cost more than the planes it drives.  It depends only on ``p`` and
+``precision``, and a mechanism passes the same ``b`` on every call, so
+it is built once per distinct vector and kept in a small
+``functools.lru_cache`` keyed on the vector's exact bytes
+(:func:`_column_plan`).  A call then only draws and combines planes,
+applies the corrections and flips the complemented columns, in the same
+order as before, so the output stream is unchanged.
+
 The result follows the requested Bernoulli law to within float64
 rounding of the correction rate (relative error ~2^-53 on a quantity
 that is itself < 2^-(L+1), i.e. ~2^-60 absolute) — statistically
@@ -49,6 +66,9 @@ otherwise.
 
 from __future__ import annotations
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
 
 from .._validation import check_positive_int, check_rng
@@ -56,6 +76,7 @@ from ..exceptions import ValidationError
 
 __all__ = [
     "packed_bernoulli",
+    "check_precision",
     "packed_assign_bits",
     "packed_column_counts",
     "check_packed_rows",
@@ -79,6 +100,15 @@ _CORRECTION_COST_WORDS = 5.0
 def packed_width(m: int) -> int:
     """Bytes per packed row for an ``m``-bit report (``ceil(m / 8)``)."""
     return -(-check_positive_int(m, "m") // 8)
+
+
+def check_precision(precision) -> int:
+    """Validate a plane budget: an integer (not a bool) in ``[1, 32]``."""
+    if isinstance(precision, bool) or not isinstance(precision, (int, np.integer)):
+        raise ValidationError(f"precision must be an integer, got {precision!r}")
+    if not 1 <= int(precision) <= 32:
+        raise ValidationError(f"precision must lie in [1, 32], got {precision}")
+    return int(precision)
 
 
 def _raw_words(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -111,7 +141,7 @@ def fixed_point_decompose(p, precision: int = 8):
         not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0
     ):
         raise ValidationError("probabilities must lie in [0, 1]")
-    precision = check_positive_int(precision, "precision")
+    precision = check_precision(precision)
     complement = arr > 0.5
     generated = np.where(complement, 1.0 - arr, arr)
     scale = float(1 << precision)
@@ -263,12 +293,72 @@ def _uniform_planes(
     return result.view(np.uint8)[: n * width].reshape(n, width)
 
 
+class _ColumnPlan(NamedTuple):
+    """Everything the per-column branch derives from ``(p, precision)``.
+
+    ``masks`` holds one packed threshold-bit row per drawn plane, lowest
+    useful plane first; ``corrections`` one ``(columns, rate, up)``
+    entry per distinct probability whose residual is nonzero, in
+    ascending-probability order (the order the sparse draws are made
+    in); ``flip`` is the packed complement mask, ``None`` when no column
+    is complemented.  Every array is read-only: the plan is shared by
+    every call that samples the same vector.
+    """
+
+    masks: np.ndarray
+    corrections: tuple[tuple[np.ndarray, float, bool], ...]
+    flip: np.ndarray | None
+
+
+#: Column plans kept at once.  A mechanism passes its own ``b`` vector
+#: on every call, so a handful covers every mechanism a process samples
+#: from.  An entry holds about 17 m bytes: the 8 m-byte key, 8 m bytes of
+#: correction column indices and m bytes of plane masks.
+_PLAN_CACHE_SIZE = 8
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _column_plan(key: bytes, precision: int) -> _ColumnPlan:
+    """Build the plan for the float64 vector whose exact bytes are *key*.
+
+    Keyed on bytes, not values, so two vectors share a plan only when
+    they are the same vector.  Validation happens here: a bad vector
+    raises while building, and ``lru_cache`` never stores an exception,
+    so it is refused on every call.
+    """
+    probabilities = np.frombuffer(key, dtype=np.float64)
+    thresholds, deltas, complements = fixed_point_decompose(probabilities, precision)
+    # min over columns of tz(T) == tz(OR of all T): the lowest set bit of
+    # the OR is the lowest set bit of any threshold.  Planes below it are
+    # identities for every column, so no word is drawn for them.
+    lowest = _trailing_zeros(int(np.bitwise_or.reduce(thresholds)), precision)
+    planes = np.arange(lowest, precision, dtype=np.uint64)
+    plane_bits = (thresholds[None, :] >> planes[:, None]) & np.uint64(1)
+    masks = np.packbits(plane_bits.astype(np.uint8), axis=1)  # pad columns: 0
+    # One sparse correction per distinct probability: the group count is
+    # the number of parameter levels (t for IDUE), not m.
+    _, first, inverse = np.unique(
+        probabilities, return_index=True, return_inverse=True
+    )
+    corrections = []
+    for group, column_index in enumerate(first):
+        delta = float(deltas[column_index])
+        rate = _correction_rate(int(thresholds[column_index]), delta, precision)
+        if rate:
+            columns = _read_only(np.flatnonzero(inverse == group))
+            corrections.append((columns, rate, delta > 0.0))
+    # Pad columns are never complemented.
+    flip = _read_only(np.packbits(complements)) if complements.any() else None
+    return _ColumnPlan(_read_only(masks), tuple(corrections), flip)
+
+
 def _column_planes(
-    n: int,
-    width: int,
-    thresholds: np.ndarray,
-    precision: int,
-    rng: np.random.Generator,
+    n: int, width: int, masks: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Per-column thresholds: plane masks broadcast over packed rows.
 
@@ -277,15 +367,8 @@ def _column_planes(
     the uniform path).  Pad columns carry ``T = 0`` and therefore stay
     zero, preserving the ``np.packbits`` tail convention.
     """
-    lowest = min(
-        (_trailing_zeros(int(t), precision) for t in thresholds), default=precision
-    )
     result = None
-    for plane in range(lowest, precision):
-        plane_bits = ((thresholds >> np.uint64(plane)) & np.uint64(1)).astype(np.uint8)
-        mask = np.packbits(plane_bits)  # zero-padded to the row width
-        if not mask.any() and result is None:
-            continue
+    for mask in masks:
         words = _raw_words(rng, -(-(n * width) // 8))
         u = words.view(np.uint8)[: n * width].reshape(n, width)
         if result is None:
@@ -325,6 +408,7 @@ def packed_bernoulli(
     ``np.packbits`` wire format, trailing pad bits zero.
     """
     n = check_positive_int(n, "n")
+    precision = check_precision(precision)
     rng = check_rng(rng)
     probabilities = np.atleast_1d(np.asarray(p, dtype=np.float64))
     if probabilities.ndim != 1:
@@ -353,23 +437,12 @@ def packed_bernoulli(
             packed[:, -1] &= np.uint8((0xFF << tail_bits) & 0xFF)
         return packed
 
-    thresholds, deltas, complements = fixed_point_decompose(probabilities, precision)
-    packed = _column_planes(n, width, thresholds, precision, rng)
-    # One sparse correction per distinct probability: the group count is
-    # the number of parameter levels (t for IDUE), not m.
-    _, first, inverse = np.unique(
-        probabilities, return_index=True, return_inverse=True
-    )
-    for group, column_index in enumerate(first):
-        delta = float(deltas[column_index])
-        rate = _correction_rate(int(thresholds[column_index]), delta, precision)
-        if not rate:
-            continue
-        columns = np.flatnonzero(inverse == group)
-        _apply_correction(packed, n, columns, m, rate, delta > 0.0, rng)
-    if complements.any():
-        flip = np.packbits(complements)  # pad columns are never complemented
-        np.bitwise_xor(packed, flip, out=packed)
+    plan = _column_plan(probabilities.tobytes(), precision)
+    packed = _column_planes(n, width, plan.masks, rng)
+    for columns, rate, up in plan.corrections:
+        _apply_correction(packed, n, columns, m, rate, up, rng)
+    if plan.flip is not None:
+        np.bitwise_xor(packed, plan.flip, out=packed)
     return packed
 
 

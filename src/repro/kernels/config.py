@@ -39,6 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..exceptions import ValidationError
+from .bernoulli import check_precision
 
 __all__ = ["SamplerConfig", "BITEXACT", "FAST", "resolve_sampler"]
 
@@ -101,12 +102,7 @@ class SamplerConfig:
                 f"stream; got dtype={self.dtype!r}, backend={self.backend!r} "
                 "(use exactness='fast' to change them)"
             )
-        if not isinstance(self.precision, (int, np.integer)) or isinstance(
-            self.precision, bool
-        ):
-            raise ValidationError(f"precision must be an integer, got {self.precision!r}")
-        if not 1 <= int(self.precision) <= 32:
-            raise ValidationError(f"precision must lie in [1, 32], got {self.precision}")
+        check_precision(self.precision)
 
     # ------------------------------------------------------------------
     @property

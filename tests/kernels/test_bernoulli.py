@@ -11,7 +11,9 @@ may differ from the float64 path.  The tests therefore check:
 * the packed wire format itself (``np.packbits`` convention, zero pad
   bits);
 * a bit-exactness regression pinning the *bitexact* path's fixed-seed
-  output, so the frozen-stream promise is enforced by CI.
+  output, so the frozen-stream promise is enforced by CI;
+* golden digests of the *fast* per-column stream, so the cached
+  sampling plan is held to the bytes the per-call derivation emitted.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro import OptimizedUnaryEncoding, SymmetricUnaryEncoding
+from repro import IDUEPS, OptimizedUnaryEncoding, SymmetricUnaryEncoding
 from repro.exceptions import ValidationError
 from repro.kernels import (
     FAST,
     SamplerConfig,
+    bernoulli,
     check_packed_rows,
     fixed_point_decompose,
     packed_assign_bits,
@@ -34,6 +37,7 @@ from repro.kernels import (
     packed_column_counts,
     packed_width,
 )
+from repro.mechanisms.base import UnaryMechanism
 
 # Two-sided binomial p-value floor for single assertions.  With a fixed
 # seed the draw is deterministic, so this is a regression bound, not a
@@ -182,6 +186,23 @@ class TestThresholdEdgeCases:
             packed_bernoulli(np.array([-0.1]), 10, 0)
         with pytest.raises(ValidationError):
             packed_bernoulli(np.array([np.nan]), 10, 0)
+
+    @pytest.mark.parametrize("precision", [0, -3, 33, 65, 8.0, True, "8", None])
+    @pytest.mark.parametrize(
+        "p", [0.3, np.full(16, 0.3), np.linspace(0.1, 0.9, 16)],
+        ids=["scalar", "uniform", "per-column"],
+    )
+    def test_invalid_precision_rejected_on_every_branch(self, p, precision):
+        """precision=0 used to fail on a negative shift, 8.0 with a
+        TypeError, True was accepted and >= 65 overflowed every
+        per-column threshold to zero."""
+        with pytest.raises(ValidationError, match="precision"):
+            packed_bernoulli(p, 10, 0, precision=precision)
+
+    @pytest.mark.parametrize("precision", [1, 32, np.int64(12)])
+    def test_precision_bounds_accepted(self, precision):
+        for p in (0.3, np.linspace(0.1, 0.9, 16)):
+            assert packed_bernoulli(p, 10, 0, precision=precision).shape[0] == 10
 
 
 class TestPackedFormat:
@@ -365,3 +386,92 @@ class TestBitexactRegression:
             xs, np.random.default_rng(99), sampler="bitexact"
         )
         assert np.array_equal(np.unpackbits(packed, axis=1, count=16), default)
+
+
+def _sfc64(seed):
+    return np.random.Generator(np.random.SFC64(seed))
+
+
+def _digest(packed):
+    return hashlib.sha256(np.ascontiguousarray(packed).tobytes()).hexdigest()
+
+
+# A 4-level IDUE-style b vector: each level's columns are interleaved,
+# not contiguous, so every correction group spans many bytes.
+_LEVEL_B = np.array([0.1824, 0.2689, 0.3775, 0.4378])
+
+
+def _idue_b(m):
+    return _LEVEL_B[(np.arange(m) * 7 // 3) % 4]
+
+
+class TestFastPerColumnStream:
+    """The fast sampler's per-column stream is pinned for fixed seeds.
+
+    The digests were computed with the per-call plan derivation that
+    preceded the cached sampling plan (the cache must not move a single
+    draw), so they prove the plan reproduces the old stream.  32 x 1024
+    and 256 x 4104 are the churn_small and produce_itemset record
+    shapes; 4104 is a multiple of 8, so pad bits and a partial last
+    word are covered by the 37 x 203 mixed vector (5 pad bits, 37 * 26
+    bytes) and the 65-bit IDUE-PS report.
+    """
+
+    def test_idue_levels_workload_shape(self):
+        packed = packed_bernoulli(_idue_b(1024), 32, _sfc64(101))
+        assert _digest(packed) == (
+            "f6330a41cd7891b96565287a8cd3189c5709157e7d3a31b6152cae01f708974c"
+        )
+
+    def test_idue_levels_itemset_shape(self):
+        packed = packed_bernoulli(_idue_b(4104), 256, _sfc64(202))
+        assert _digest(packed) == (
+            "66093805b2391760f7c86ab925bbe721475dca773b426b4c52fdbc171e943e38"
+        )
+
+    def test_complemented_and_exact_columns(self):
+        levels = np.array([0.0, 1.0, 0.73, 0.5, 0.9961, 0.2, 1.0 / 3.0, 0.0, 0.81])
+        packed = packed_bernoulli(np.resize(levels, 203), 37, _sfc64(303))
+        assert _digest(packed) == (
+            "ed3e3f6062a7cced3e7d1fcb1de232feeab6b1108f0ffeb7e06ac40330277f03"
+        )
+
+    def test_idue_ps_itemset_batch(self):
+        m, ell = 60, 5
+        a = np.resize(np.array([0.5, 0.62, 0.71]), m + ell)
+        b = np.resize(np.array([0.1824, 0.2689, 0.4378]), m + ell)
+        mechanism = IDUEPS(UnaryMechanism(a, b), m, ell)
+        flat = np.array([0, 3, 59, 7, 7, 12, 40, 41, 42, 43, 44, 45, 46, 1, 58])
+        offsets = np.array([0, 3, 3, 5, 13, 15])
+        packed = mechanism.perturb_many_packed(flat, offsets, _sfc64(404), sampler=FAST)
+        assert _digest(packed) == (
+            "1a028eafeff11e89cd09fc36b7d8f2534ca39667a1685ba42800c79b57fc5fe3"
+        )
+
+    def test_interleaved_vectors_and_precisions_match_separate_runs(self):
+        calls = [(_idue_b(203), 8), (np.linspace(0.05, 0.95, 203), 8)]
+        calls += [(p, 13) for p, _ in calls]
+        alone = [
+            [packed_bernoulli(p, 19, _sfc64(seed), precision=precision) for seed in (1, 2)]
+            for p, precision in calls
+        ]
+        for seed_index, seed in enumerate((1, 2)):
+            for (p, precision), expected in zip(calls, alone):
+                packed = packed_bernoulli(p, 19, _sfc64(seed), precision=precision)
+                assert np.array_equal(packed, expected[seed_index])
+
+    def test_cached_plan_arrays_are_read_only(self):
+        p = np.array([0.1, 0.7, 0.3, 0.9, 0.1])
+        packed_bernoulli(p, 4, 0)
+        plan = bernoulli._column_plan(p.tobytes(), 8)
+        writable = [plan.masks, plan.flip] + [c for c, _, _ in plan.corrections]
+        assert len(writable) > 2
+        for array in writable:
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_invalid_vector_refused_on_every_call(self):
+        p = np.array([0.2, 0.4, 1.5])
+        for _ in range(2):
+            with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+                packed_bernoulli(p, 8, 0)
